@@ -23,8 +23,6 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-import numpy as np
-
 __all__ = [
     "Payload",
     "BytesPayload",
@@ -71,26 +69,65 @@ class BytesPayload(Payload):
         return f"bytes[{len(self.data)}]"
 
 
+#: ``_ADD[c:c + 256]`` is the :meth:`bytes.translate` table adding ``c``.
+_ADD = bytes(range(256)) * 2
+#: One period of pattern stream 0: byte ``j`` is
+#: ``(177 * (j & 0xFF) + (j >> 8)) & 0xFF``, i.e. 256-byte row ``j >> 8`` is
+#: row 0 plus ``j >> 8``.  Built from 256-byte pieces, with no temporary
+#: larger than the table itself.
+_PATTERN_ROW = bytes((177 * lo) & 0xFF for lo in range(256))
+_PATTERN_TABLE = b"".join(_PATTERN_ROW.translate(_ADD[hi:hi + 256])
+                          for hi in range(256))
+#: One period of a corrupt stream before its token's constant is added:
+#: byte ``j`` is ``(119 * j) & 0xFF``.
+_CORRUPT_TABLE = bytes((119 * j) & 0xFF for j in range(256))
+
+
+def _cyclic(table: bytes, start: int, length: int) -> bytes:
+    """``length`` bytes of the endless repetition of ``table``, from stream
+    offset ``start``."""
+    period = len(table)
+    off = start % period
+    if off + length <= period:
+        return table[off:off + length]
+    whole, part = divmod(off + length - period, period)
+    view = memoryview(table)
+    return b"".join([view[off:], *[view] * whole, view[:part]])
+
+
+def _check_stream_id(kind: str, name: str, value) -> None:
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(
+            f"{kind} {name} must be a non-negative int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PatternPayload(Payload):
     """A deterministic infinite byte stream identified by ``seed``.
 
-    Byte ``i`` of stream ``s`` is ``sha``-free and vectorised:
+    Byte ``i`` of stream ``s`` is
     ``(i * 2654435761 + s * 40503 + (i >> 8)) & 0xFF`` — cheap, stable
     across runs, and differing seeds disagree almost everywhere, so payload
     mix-ups are caught by materialised comparisons in tests.
+
+    ``seed`` is any non-negative ``int``.  Since 2654435761 is 177 mod
+    256, byte ``i`` is ``(177 * (i & 0xFF) + (i >> 8) + 40503 * s) & 0xFF``:
+    the stream repeats every 65536 bytes, and the seed only adds a
+    constant to the high byte of ``i``, i.e. moves the start of stream 0 by
+    ``((40503 * s) & 0xFF) * 256`` bytes.  :meth:`materialize` is therefore
+    a slice of one precomputed period.
     """
 
     seed: int
 
+    def __post_init__(self):
+        _check_stream_id("pattern", "seed", self.seed)
+
     def materialize(self, start: int, length: int) -> bytes:
         if start < 0:
             raise IndexError(f"negative payload offset {start}")
-        idx = np.arange(start, start + length, dtype=np.uint64)
-        vals = (idx * np.uint64(2654435761)
-                + np.uint64(self.seed * 40503)
-                + (idx >> np.uint64(8)))
-        return (vals & np.uint64(0xFF)).astype(np.uint8).tobytes()
+        shift = ((self.seed * 40503) & 0xFF) << 8
+        return _cyclic(_PATTERN_TABLE, start + shift, length)
 
     def same_source(self, other: Payload) -> bool:
         return isinstance(other, PatternPayload) and self.seed == other.seed
@@ -111,17 +148,23 @@ class CorruptPayload(Payload):
     range corrupt?".  Materialisation is deterministic garbage derived from
     ``token`` (the corruption event id), so even a run that *fails* to
     detect rot stays bit-reproducible.
+
+    Byte ``i`` of token ``t`` (any non-negative ``int``) is
+    ``(i * 2246822519 + t * 65599 + 0xB17F) & 0xFF``; 2246822519 is 119
+    mod 256, so the stream repeats every 256 bytes.
     """
 
     token: int
 
+    def __post_init__(self):
+        _check_stream_id("corrupt", "token", self.token)
+
     def materialize(self, start: int, length: int) -> bytes:
         if start < 0:
             raise IndexError(f"negative payload offset {start}")
-        idx = np.arange(start, start + length, dtype=np.uint64)
-        vals = (idx * np.uint64(2246822519)
-                + np.uint64(self.token * 65599) + np.uint64(0xB17F))
-        return (vals & np.uint64(0xFF)).astype(np.uint8).tobytes()
+        add = (self.token * 65599 + 0xB17F) & 0xFF
+        return _cyclic(_CORRUPT_TABLE, start, length).translate(
+            _ADD[add:add + 256])
 
     def same_source(self, other: Payload) -> bool:
         return isinstance(other, CorruptPayload) and self.token == other.token
@@ -207,6 +250,10 @@ class ExtentMap:
     the same payload stream are merged.
     """
 
+    # One map per simulated file, tens of thousands per large run: slots
+    # keep the per-instance dict out of the peak resident set.
+    __slots__ = ("_starts", "_extents")
+
     def __init__(self):
         self._starts: List[int] = []
         self._extents: List[Extent] = []
@@ -238,6 +285,18 @@ class ExtentMap:
         if length == 0:
             return
         new = Extent(offset, length, payload, payload_offset)
+        extents = self._extents
+        if not extents or offset >= extents[-1].end:
+            # Append at or past the end (log appends, flush copies): no
+            # overlap is possible and only the last extent can merge.
+            if extents and extents[-1].abuts(new):
+                last = extents[-1]
+                extents[-1] = Extent(last.offset, last.length + length,
+                                     last.payload, last.payload_offset)
+            else:
+                extents.append(new)
+                self._starts.append(offset)
+            return
         lo = bisect.bisect_left(self._starts, new.offset)
         # Step back to an extent that may overlap from the left.
         if lo > 0 and self._extents[lo - 1].end > new.offset:

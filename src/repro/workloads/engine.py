@@ -37,6 +37,7 @@ from repro.simmpi.mpiio import IORequest
 from repro.simulation import Simulation
 from repro.storage.datamodel import PatternPayload
 from repro.units import MiB
+from repro.workloads.iobench import verify_read_back
 from repro.workloads.jobs import Job, JobTrace, generate_trace
 from repro.workloads.strategies import BBPool, make_strategy
 
@@ -452,7 +453,10 @@ class WorkloadEngine:
                 last_fh = fh
                 bytes_read += float(n) * comm.size
                 if self.spec.verify_reads:
-                    self._verify(job, results, comm.size, last_seed)
+                    verify_read_back(
+                        results, comm.size, n,
+                        lambda rank: PatternPayload(last_seed + rank),
+                        job.name)
         if last_fh is not None:
             yield from last_fh.sync()
         self.system.delete_file(path)
@@ -468,22 +472,6 @@ class WorkloadEngine:
             bytes_written=bytes_written, bytes_read=bytes_read,
             ideal_seconds=ideal))
         self._release(job, pool_id, granted)
-
-    @staticmethod
-    def _verify(job: Job, results, size: int, seed: int,
-                sample_bytes: int = 4096) -> None:
-        """Assert each rank's read-back starts with its write pattern."""
-        for rank in range(size):
-            got = b""
-            for ext in results[rank]:
-                if len(got) >= sample_bytes:
-                    break
-                take = int(min(ext.length, sample_bytes - len(got)))
-                got += ext.payload.materialize(ext.payload_offset, take)
-            expected = PatternPayload(seed + rank).materialize(0, len(got))
-            if got != expected:
-                raise AssertionError(
-                    f"{job.name}: rank {rank} read-back mismatch")
 
 
 # -- public entry points ------------------------------------------------------

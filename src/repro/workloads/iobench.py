@@ -8,14 +8,15 @@ read phase) runnable against any registered ADIO driver.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Callable, Generator, Mapping, Sequence
 
 from repro.simmpi.comm import Communicator
 from repro.simulation import Simulation
+from repro.storage.datamodel import Extent, Payload
 from repro.units import MiB
 from repro.workloads.hdf5sim import DatasetSpec, Hdf5Layout
 
-__all__ = ["MicroBench"]
+__all__ = ["MicroBench", "verify_read_back"]
 
 
 class MicroBench:
@@ -66,17 +67,32 @@ class MicroBench:
     # -- verification -----------------------------------------------------------
     def verify_sample(self, results, sample_bytes: int = 4096) -> None:
         """Assert each rank's block starts with its expected pattern."""
-        for rank in range(self.comm.size):
-            extents = results[rank]
-            got = b""
-            for ext in extents:
-                if len(got) >= sample_bytes:
-                    break
-                take = min(ext.length, sample_bytes - len(got))
-                got += ext.payload.materialize(ext.payload_offset, int(take))
-            expected = self.layout.expected_block_payload(
-                "data", rank, self.payload_seed_base).materialize(
-                    0, len(got))
-            if got != expected:
-                raise AssertionError(
-                    f"rank {rank}: read-back mismatch in {self.path}")
+        verify_read_back(
+            results, self.comm.size, self.bytes_per_proc,
+            lambda rank: self.layout.expected_block_payload(
+                "data", rank, self.payload_seed_base),
+            self.path, sample_bytes)
+
+
+def verify_read_back(results: Mapping[int, Sequence[Extent]], ranks: int,
+                     block_bytes: int, expected: Callable[[int], Payload],
+                     label: str, sample_bytes: int = 4096) -> None:
+    """Assert each rank read back the first ``min(sample_bytes,
+    block_bytes)`` bytes of its ``expected(rank)`` stream.
+
+    A rank whose extents hold fewer bytes than that fails too: an empty
+    read must not pass as an empty match.
+    """
+    want = min(sample_bytes, block_bytes)
+    for rank in range(ranks):
+        got = b""
+        for ext in results.get(rank, ()):
+            if len(got) >= want:
+                break
+            take = int(min(ext.length, want - len(got)))
+            got += ext.payload.materialize(ext.payload_offset, take)
+        if len(got) < want:
+            raise AssertionError(
+                f"{label}: rank {rank} read back {len(got)} of {want} bytes")
+        if got != expected(rank).materialize(0, want):
+            raise AssertionError(f"{label}: rank {rank} read-back mismatch")

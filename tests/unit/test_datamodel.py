@@ -1,11 +1,15 @@
 """Unit + property tests for extent maps and payloads."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.datamodel import (
     BytesPayload,
+    CorruptPayload,
     Extent,
     ExtentMap,
     PatternPayload,
@@ -43,11 +47,92 @@ class TestPayloads:
     def test_zero_payload_singleton(self):
         assert ZeroPayload() is ZeroPayload()
 
+    @pytest.mark.parametrize("bad", [-1, -2 ** 70, 1.0, "3", None])
+    def test_invalid_stream_ids_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-negative int"):
+            PatternPayload(bad)
+        with pytest.raises(ValueError, match="non-negative int"):
+            CorruptPayload(bad)
+
+    @pytest.mark.parametrize("seed", [2 ** 64 // 40503, 2 ** 64, 2 ** 100 + 3])
+    def test_huge_seeds_follow_formula(self, seed):
+        """Seeds past the old 64-bit product limit materialise per formula."""
+        assert (PatternPayload(seed).materialize(2 ** 70, 600)
+                == _pattern_ref(seed, 2 ** 70, 600))
+        assert (CorruptPayload(seed).materialize(5, 600)
+                == _corrupt_ref(seed, 5, 600))
+
     def test_same_source(self):
         assert PatternPayload(4).same_source(PatternPayload(4))
         assert not PatternPayload(4).same_source(PatternPayload(5))
         assert not PatternPayload(4).same_source(ZeroPayload())
         assert BytesPayload(b"x").same_source(BytesPayload(b"x"))
+
+
+def _pattern_ref(seed, start, length):
+    """The documented ``PatternPayload`` formula, one Python int per byte."""
+    return bytes((i * 2654435761 + seed * 40503 + (i >> 8)) & 0xFF
+                 for i in range(start, start + length))
+
+
+def _corrupt_ref(token, start, length):
+    """The documented ``CorruptPayload`` formula, one Python int per byte."""
+    return bytes((i * 2246822519 + token * 65599 + 0xB17F) & 0xFF
+                 for i in range(start, start + length))
+
+
+PERIOD = 65536
+
+# (seed, start, length): the edge cases named explicitly, then random draws.
+_GOLDEN_CASES = [
+    (0, 0, 0),                                 # empty
+    (5, 3, 0),                                 # empty, unaligned
+    (1, PERIOD - 10, 20),                      # crosses a period boundary
+    (77, 3 * PERIOD - 1, PERIOD + 2),          # crosses two boundaries
+    (9, 12345, 2 * PERIOD + 777),              # more than two periods
+    (3, 2 ** 32 + PERIOD - 50, 300),           # start >= 2**32
+    (2 ** 48 - 1, 2 ** 40 + 1, 5000),          # large seed and start
+]
+_rng = random.Random(20181)
+for _ in range(12):
+    _GOLDEN_CASES.append((
+        _rng.randrange(2 ** 48),
+        _rng.choice([_rng.randrange(4 * PERIOD),
+                     _rng.randrange(2 ** 32, 2 ** 48)]),
+        _rng.choice([0, _rng.randrange(1, 300),
+                     _rng.randrange(PERIOD - 300, PERIOD + 300),
+                     _rng.randrange(2 * PERIOD, 3 * PERIOD)]),
+    ))
+
+
+class TestGoldenBytes:
+    """Payload bytes against the formulas, independent of the kernel."""
+
+    @pytest.mark.parametrize("seed,start,length", _GOLDEN_CASES)
+    def test_pattern_matches_formula(self, seed, start, length):
+        assert (PatternPayload(seed).materialize(start, length)
+                == _pattern_ref(seed, start, length))
+
+    @pytest.mark.parametrize("seed,start,length", _GOLDEN_CASES)
+    def test_corrupt_matches_formula(self, seed, start, length):
+        token = seed % 2 ** 31
+        assert (CorruptPayload(token).materialize(start, length)
+                == _corrupt_ref(token, start, length))
+
+    @pytest.mark.parametrize("payload,start,length,sha256", [
+        (PatternPayload(0), 0, 1 << 20,
+         "8a617978f8d249ab6b6027dc358b80b2b75f5d5e769a93cdf5b1aa9d215c5a5e"),
+        (PatternPayload(123456789), 2 ** 33 + 5, 200000,
+         "ec36cdba1d2eb9e07d58d88c574702e327fc1a46e99fc894a6a59738a3431baa"),
+        (PatternPayload(2 ** 48 - 1), PERIOD - 1, 3 * PERIOD,
+         "35909b0b43eda1c7fdb493d1ae12db91399a477bddd28185138f7c25c6a3fa30"),
+        (CorruptPayload(2 ** 31 - 1), 7, 70000,
+         "fcf39013f6d7b2aa1fe3128f3023f8d9baaabb25d48638b21e1169aa829c4e0d"),
+    ])
+    def test_pinned_digests(self, payload, start, length, sha256):
+        data = payload.materialize(start, length)
+        assert len(data) == length
+        assert hashlib.sha256(data).hexdigest() == sha256
 
 
 class TestExtent:
@@ -170,6 +255,14 @@ write_op = st.tuples(
 )
 
 
+append_op = st.tuples(
+    st.sampled_from(["continue"] * 6 + ["append"] * 2 + ["gap", "overwrite"]),
+    st.integers(min_value=1, max_value=64),    # length
+    st.integers(min_value=0, max_value=5),     # payload seed
+    st.integers(min_value=1, max_value=80),    # gap size / distance back
+)
+
+
 class TestExtentMapProperties:
     @given(st.lists(write_op, max_size=30))
     @settings(max_examples=200, deadline=None)
@@ -204,6 +297,41 @@ class TestExtentMapProperties:
         assert parts[-1].end == offset + length
         for a, b in zip(parts, parts[1:]):
             assert a.end == b.offset
+
+    @given(st.lists(append_op, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_append_heavy_matches_reference(self, ops):
+        """Mostly sequential writes: continuations, gaps and an occasional
+        overwrite behind the tail, like DHP log appends and flush copies."""
+        m = ExtentMap()
+        ref = bytearray()
+        for kind, length, seed, back in ops:
+            if kind == "overwrite" and ref:
+                offset = max(0, len(ref) - back)
+                m.write(offset, length, PatternPayload(seed), 0)
+                data = PatternPayload(seed).materialize(0, length)
+            else:
+                last = m.extents[-1] if len(m) else None
+                if kind == "continue" and last is not None:
+                    offset, payload = last.end, last.payload
+                    poff = last.payload_offset + last.length
+                else:
+                    offset = len(ref) + (back if kind == "gap" else 0)
+                    payload, poff = PatternPayload(seed), 0
+                before = len(m)
+                m.write(offset, length, payload, poff)
+                data = payload.materialize(poff, length)
+                if kind == "continue" and last is not None:
+                    # A continued stream stays one extent.
+                    assert len(m) == before
+                    assert m.extents[-1].offset == last.offset
+            end = offset + length
+            if end > len(ref):
+                ref.extend(bytes(end - len(ref)))
+            ref[offset:end] = data
+            m.check_invariants()
+        assert m.size == len(ref)
+        assert m.read_bytes(0, len(ref)) == bytes(ref)
 
     @given(st.lists(write_op, max_size=20))
     @settings(max_examples=100, deadline=None)

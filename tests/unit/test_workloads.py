@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MachineSpec, Simulation, UniviStorConfig
+from repro.storage.datamodel import Extent, PatternPayload
 from repro.units import KiB, MiB
 from repro.workloads import (
     BdCatsIO,
@@ -13,6 +14,7 @@ from repro.workloads import (
     VpicIO,
 )
 from repro.workloads.hdf5sim import METADATA_REGION_BYTES
+from repro.workloads.iobench import verify_read_back
 from repro.workloads.vpic import VPIC_PROPERTIES
 
 
@@ -106,6 +108,49 @@ class TestMicroBench:
 
         with pytest.raises(AssertionError, match="mismatch"):
             sim.run_to_completion(app())
+
+    def test_verify_catches_empty_read_back(self):
+        """A rank that gets no extents back must not pass as ``b"" == b""``."""
+        sim = make_sim()
+        comm = sim.comm("iobench", 4, procs_per_node=2)
+        bench = MicroBench(sim, comm, "/pfs/m.h5", "univistor",
+                           bytes_per_proc=64 * KiB)
+        sim.run_to_completion(bench.write_phase())
+        results = sim.run_to_completion(bench.read_phase())
+        bench.verify_sample(results)
+        results[1] = []
+        with pytest.raises(AssertionError, match="rank 1 read back 0 of 4096"):
+            bench.verify_sample(results)
+
+
+class TestVerifyReadBack:
+    @staticmethod
+    def results(lengths):
+        return {rank: [Extent(0, n, PatternPayload(rank))] if n else []
+                for rank, n in enumerate(lengths)}
+
+    def test_full_samples_pass(self):
+        verify_read_back(self.results([4096, 5000]), 2, 8192,
+                         PatternPayload, "t")
+
+    def test_short_sample_fails(self):
+        with pytest.raises(AssertionError, match="rank 1 read back 100 of"):
+            verify_read_back(self.results([4096, 100]), 2, 8192,
+                             PatternPayload, "t")
+
+    def test_missing_rank_fails(self):
+        with pytest.raises(AssertionError, match="rank 2 read back 0 of"):
+            verify_read_back(self.results([4096, 4096]), 3, 8192,
+                             PatternPayload, "t")
+
+    def test_block_smaller_than_sample(self):
+        verify_read_back(self.results([100, 100]), 2, 100,
+                         PatternPayload, "t")
+
+    def test_wrong_stream_fails(self):
+        with pytest.raises(AssertionError, match="rank 0 read-back mismatch"):
+            verify_read_back(self.results([4096]), 1, 4096,
+                             lambda rank: PatternPayload(rank + 1), "t")
 
 
 class TestVpicIO:
