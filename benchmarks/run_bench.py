@@ -85,17 +85,11 @@ def host_info() -> dict:
     }
 
 
-def run_pytest_benchmark(selection: str, json_path: str,
-                         fastpath_off: bool = False,
-                         hotspot_off: bool = False) -> int:
+def run_pytest_benchmark(selection: str, json_path: str) -> int:
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
     env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else src)
-    if fastpath_off:
-        env["REPRO_META_FASTPATH"] = "0"
-    if hotspot_off:
-        env["REPRO_HOTSPOT"] = "0"
     cmd = [
         sys.executable, "-m", "pytest", BENCH_FILE, "-q",
         "--benchmark-json", json_path,
@@ -208,14 +202,6 @@ def main(argv=None) -> int:
                         help="trajectory file (default: BENCH_simulator.json)")
     parser.add_argument("--dry-run", action="store_true",
                         help="run and compare but do not write the file")
-    parser.add_argument("--fastpath-off", action="store_true",
-                        help="run with REPRO_META_FASTPATH=0 (legacy "
-                             "metadata plane) — records the 'before' "
-                             "point of a fast-path comparison pair")
-    parser.add_argument("--hotspot-off", action="store_true",
-                        help="run with REPRO_HOTSPOT=0 (static range "
-                             "layout) — records the 'before' point of "
-                             "the hot-range mitigation pair")
     parser.add_argument("--profile", default=None, metavar="BENCH",
                         help="run BENCH (a pytest -k selection) under "
                              "cProfile and write "
@@ -240,9 +226,7 @@ def main(argv=None) -> int:
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         json_path = tmp.name
     try:
-        rc = run_pytest_benchmark(selection, json_path,
-                                  fastpath_off=args.fastpath_off,
-                                  hotspot_off=args.hotspot_off)
+        rc = run_pytest_benchmark(selection, json_path)
         if rc != 0:
             print(f"benchmark suite failed (exit {rc})", file=sys.stderr)
             return rc

@@ -7,8 +7,6 @@ the event kernel, fair-share rescheduling, extent-map writes and the
 full-stack micro-benchmark at two scales.
 """
 
-import os
-
 import numpy as np
 
 from repro.cluster.spec import MachineSpec
@@ -22,21 +20,6 @@ from repro.simulation import Simulation
 from repro.storage.datamodel import ExtentMap, PatternPayload
 from repro.units import KiB, MiB
 from repro.workloads import MicroBench
-
-
-def _fastpath_on() -> bool:
-    """The metadata fast-path benches honor ``REPRO_META_FASTPATH=0`` to
-    emulate the pre-fast-path code (per-record inserts, no compaction,
-    no location cache), so a trajectory file can hold a directly
-    comparable before/after pair recorded from the same tree."""
-    return os.environ.get("REPRO_META_FASTPATH", "1") != "0"
-
-
-def _hotspot_on() -> bool:
-    """The hot-range bench honors ``REPRO_HOTSPOT=0`` to emulate the
-    static range layout (no split/merge, no elastic pool), so the
-    trajectory file holds a before/after pair for the mitigation."""
-    return os.environ.get("REPRO_HOTSPOT", "1") != "0"
 
 
 class TestKernelThroughput:
@@ -113,29 +96,21 @@ class TestMetadataFastPath:
         return records
 
     def test_metadata_insert_throughput(self, benchmark):
-        """Collective-write insert stream: batched + coalesced + merged
-        vs the legacy per-record loop."""
-        fast = _fastpath_on()
+        """Collective-write insert stream: batched + coalesced + merged."""
         waves = [self._wave_records(w) for w in range(self.WAVES)]
 
         def run():
             md = MetadataService(n_servers=8, range_size=float(1 * MiB),
-                                 replication=2, compaction=fast)
+                                 replication=2)
             for records in waves:
-                if fast:
-                    md.insert_many(records, coalesce=True)
-                else:
-                    for record in records:
-                        md.insert(record)
+                md.insert_many(records, coalesce=True)
             return md.record_count
 
         assert benchmark(run) > 0
 
     def test_cached_read_latency(self, benchmark):
-        """Strided multi-range lookups: location-cache hits (plus the
-        unchanged per-range cost accounting) vs authoritative store
-        searches."""
-        fast = _fastpath_on()
+        """Strided multi-range lookups: location-cache hits plus the
+        per-range cost accounting."""
         chunk = int(4 * KiB)
         n_records = 16384  # 64 MiB of 4 KiB pieces, writers alternating
         md = MetadataService(n_servers=4, range_size=float(64 * KiB),
@@ -155,15 +130,10 @@ class TestMetadataFastPath:
 
         def run():
             total = 0
-            if fast:
-                for off in offsets:
-                    found = cache.lookup(1, off, span)
-                    md.read_servers_for(1, off, span)
-                    total += len(found)
-            else:
-                for off in offsets:
-                    found, _servers = md.lookup(1, off, span)
-                    total += len(found)
+            for off in offsets:
+                found = cache.lookup(1, off, span)
+                md.read_servers_for(1, off, span)
+                total += len(found)
             return total
 
         assert benchmark(run) > 0
@@ -221,15 +191,13 @@ class TestHotRangeThroughput:
         """Skewed overwrite waves into one range; with the mitigation on
         the simulated hot-range throughput must be at least 2x the
         static layout's."""
-        adaptive = benchmark.pedantic(self._run_skewed,
-                                      args=(_hotspot_on(),),
+        adaptive = benchmark.pedantic(self._run_skewed, args=(True,),
                                       rounds=3, iterations=1)
         benchmark.extra_info["simulated_bytes_per_sec"] = adaptive
-        if _hotspot_on():
-            static = self._run_skewed(False)
-            assert adaptive >= 2.0 * static, (
-                f"hot-range mitigation payoff below 2x: "
-                f"{adaptive / static:.2f}x")
+        static = self._run_skewed(False)
+        assert adaptive >= 2.0 * static, (
+            f"hot-range mitigation payoff below 2x: "
+            f"{adaptive / static:.2f}x")
 
 
 class TestWriteQuorumOverhead:
@@ -315,18 +283,14 @@ class TestFullStackThroughput:
         assert total == 8192 * 256 * MiB
 
     def test_micro_100k_procs_wall_time(self, benchmark):
-        """Full write+read at 100 000 ranks (3125 nodes) on a sharded
-        engine — the ROADMAP's whole-machine-rank-count scale gate.
+        """Full write+read at 100 000 ranks (3125 nodes) — the ROADMAP's
+        whole-machine-rank-count scale gate.
 
         Per-rank payload is small (1 MiB): the point is rank-count
         scaling of the kernel, collective, and metadata paths, not
-        bytes.  Uses one engine shard per ~256 nodes so the epoch merge
-        is exercised at scale; digests are engine-layout-invariant, so
-        the workload is identical to a single-queue run."""
-        from repro.experiments.common import univistor_config_for
-        config = univistor_config_for("UniviStor/DRAM", engine_shards=13)
+        bytes."""
         total = benchmark.pedantic(self._run_micro,
-                                   args=(100_000, 1 * MiB, config),
+                                   args=(100_000, 1 * MiB),
                                    rounds=1, iterations=1)
         assert total == 100_000 * 1 * MiB
 

@@ -65,14 +65,11 @@ _SETTLE = 0.6
 #: file followed by a double node crash whose gap is *shorter than the
 #: detection delay*, so async re-replication can never win the race —
 #: only the write-time synchronous copy (``data_quorum=2``) survives.
-#: ``storm_legacy`` replays the storm schedule on the pre-quorum
-#: deployment (``data_quorum=1``) — the canonical ``storm`` now runs at
-#: ``data_quorum=2`` (storm2 proved 100 % read success under exactly the
-#: storm's crash windows), and the legacy alias keeps the old golden
-#: trajectory reproducible.
+#: ``storm`` runs at ``data_quorum=2``; overriding it back to 1
+#: (``--mix storm --data-quorum 1``) replays the pre-quorum trajectory.
 #: The registry maps each mix name to its schedule generator; the CLI
 #: and :func:`run_one` validate against it.
-MIXES = ("storm", "storm_legacy", "partition", "hotspot", "storm2")
+MIXES = ("storm", "partition", "hotspot", "storm2")
 #: Hotspot-mix skew: every rank overwrites a small slot inside ONE
 #: 64 KiB metadata range (the range right after the cold blocks), slots
 #: strided across the range so splitting actually spreads the load.
@@ -241,9 +238,9 @@ def _config(hardened: bool, mix: str = "storm") -> UniviStorConfig:
         # The canonical storm deployment acks writes only once two
         # failure domains hold the segments: the double-crash losses the
         # legacy dq=1 deployment admitted (the 99.92 % plateau) are
-        # structurally closed.  ``storm_legacy`` keeps the dq=1 config.
+        # structurally closed.
         kw.update(data_quorum=2)
-    if mix == "partition":
+    elif mix == "partition":
         kw.update(metadata_replication=3, lease_ttl=0.25,
                   scrub_interval=0.15, scrub_rate_limit=float(1024 * KiB))
     elif mix == "hotspot":
@@ -257,7 +254,7 @@ def _config(hardened: bool, mix: str = "storm") -> UniviStorConfig:
         # the feature under test — a write acks only once its segments
         # are durable on two failure domains.
         kw.update(metadata_replication=3, lease_ttl=0.25, data_quorum=2)
-    elif mix not in ("storm", "storm_legacy"):
+    else:
         raise ValueError(f"unknown chaos mix {mix!r}; valid: {MIXES}")
     config = UniviStorConfig.hardened(**kw)
     if not hardened:
@@ -462,7 +459,6 @@ def _storm2_schedule(rng: StreamRNG, base: float, n_nodes: int,
 #: ``(rng, base, n_nodes, n_servers, servers_per_node, lease_ttl)``.
 _SCHEDULES = {
     "storm": _schedule,
-    "storm_legacy": _schedule,
     "partition": _partition_schedule,
     "hotspot": _hotspot_schedule,
     "storm2": _storm2_schedule,
@@ -486,9 +482,7 @@ def run_one(seed: int, hardened: bool = True,
     result = ChaosRunResult(seed=seed, hardened=hardened, mix=mix)
     rng = StreamRNG(seed)
     cfg = config if config is not None else _config(hardened, mix)
-    sim = Simulation(MachineSpec.small_test(nodes=NODES),
-                     engine_shards=cfg.engine_shards,
-                     engine_bucket_width=cfg.engine_bucket_width)
+    sim = Simulation(MachineSpec.small_test(nodes=NODES))
     system = sim.install_univistor(cfg)
     comm = sim.comm("chaos", NODES * PROCS_PER_NODE,
                     procs_per_node=PROCS_PER_NODE)
@@ -703,10 +697,7 @@ def run_one(seed: int, hardened: bool = True,
             f"engine: unhandled {type(err).__name__}: {err}")
     result.telemetry_ops = tuple(r.op for r in sim.telemetry.records)
     h = hashlib.sha256()
-    # storm_legacy exists to replay the pre-quorum storm trajectory —
-    # digests included — so it hashes under its historical mix label.
-    digest_mix = "storm" if result.mix == "storm_legacy" else result.mix
-    h.update(repr((result.seed, result.hardened, digest_mix,
+    h.update(repr((result.seed, result.hardened, result.mix,
                    result.reads_ok, result.reads_lost,
                    result.writes_ok, result.writes_lost,
                    tuple(result.violations), result.faults)).encode())

@@ -7,7 +7,8 @@ Subcommands::
     repro vpic      --procs N --system SYSTEM [--steps S] [--compute SEC]
     repro workflow  --procs N --system SYSTEM [--steps S] [--overlap]
     repro chaos     [--seeds N] [--first-seed S]
-                    [--mix storm|storm_legacy|partition|hotspot|storm2]
+                    [--mix storm|partition|hotspot|storm2]
+                    [--data-quorum N]
                     [--baseline] [--jobs N] [--verbose] [--lease-ttl T]
                     [--heartbeat-interval T] [--suspect-heartbeats K]
                     [--dead-heartbeats K]

@@ -195,16 +195,6 @@ class UniviStorConfig:
     #: adds servers only while a hot range has exhausted the pool's
     #: fan-out and the pool is below this size.
     pool_max_servers: int = 0
-    #: Event-engine shard count (docs/MODEL.md §13).  1 (the default) is
-    #: the legacy single-queue kernel; N > 1 routes events to per-key
-    #: queues (node-local processes share a shard) merged in a global
-    #: deterministic ``(time, seq)`` order, so any value is bit-identical
-    #: to 1 — purely a queue-locality/performance knob.
-    engine_shards: int = 1
-    #: Calendar-queue bucket width (simulated seconds) for each engine
-    #: shard kernel; 0 (the default) selects the binary heap.  Like
-    #: ``engine_shards``, dispatch order is identical for any width.
-    engine_bucket_width: float = 0.0
 
     @staticmethod
     def hardened(**kw) -> "UniviStorConfig":
@@ -268,10 +258,6 @@ class UniviStorConfig:
             raise ValueError("scrub_interval must be >= 0")
         if self.scrub_rate_limit < 0:
             raise ValueError("scrub_rate_limit must be >= 0")
-        if self.engine_shards < 1:
-            raise ValueError("engine_shards must be >= 1")
-        if self.engine_bucket_width < 0:
-            raise ValueError("engine_bucket_width must be >= 0")
         if StorageTier.PFS in self.cache_tiers:
             raise ValueError("PFS is the implicit destination tier; "
                              "do not list it in cache_tiers")

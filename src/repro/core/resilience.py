@@ -91,8 +91,7 @@ class ResilienceService:
             self._events[session.path] = ev
             return ev
         proc = self.engine.process(self._replicate(session, pending),
-                                   name=f"replicate:{session.path}",
-                                   shard=session.fid)
+                                   name=f"replicate:{session.path}")
         self._events[session.path] = proc
         return proc
 

@@ -77,12 +77,7 @@ def build_simulation(procs: int, system: str,
         raise ValueError(f"procs ({procs}) must be a multiple of "
                          f"{PROCS_PER_NODE} (the per-node client count)")
     nodes = procs // PROCS_PER_NODE
-    engine_kw = {}
-    if config is not None:
-        engine_kw = {"engine_shards": config.engine_shards,
-                     "engine_bucket_width": config.engine_bucket_width}
-    sim = Simulation(spec or MachineSpec.cori_haswell(nodes=nodes),
-                     **engine_kw)
+    sim = Simulation(spec or MachineSpec.cori_haswell(nodes=nodes))
     if system.startswith("UniviStor"):
         sim.install_univistor(config or univistor_config_for(system))
         return sim, "univistor"

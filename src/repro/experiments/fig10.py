@@ -12,8 +12,7 @@ from typing import List, Optional
 
 from repro.analysis.report import Table
 from repro.core.config import UniviStorConfig
-from repro.experiments.registry import (module_main,
-                                        register_experiment)
+from repro.experiments.registry import register_experiment
 from repro.experiments.common import sweep
 from repro.experiments.fig9 import run_workflow
 
@@ -47,8 +46,3 @@ def run_fig10(procs_list: Optional[List[int]] = None, steps: int = 10,
 
 
 register_experiment("fig10", run_fig10)
-
-if __name__ == "__main__":  # pragma: no cover — deprecated shim
-    import sys
-
-    sys.exit(module_main("fig10"))

@@ -12,8 +12,7 @@ from typing import List, Optional
 
 from repro.analysis.report import Table
 from repro.core.config import UniviStorConfig
-from repro.experiments.registry import (module_main,
-                                        register_experiment)
+from repro.experiments.registry import register_experiment
 from repro.experiments.common import build_simulation, io_rate, sweep
 from repro.units import MiB
 from repro.workloads.iobench import MicroBench
@@ -115,8 +114,3 @@ def run_fig5c(procs_list: Optional[List[int]] = None,
 register_experiment("fig5a", run_fig5a)
 register_experiment("fig5b", run_fig5b)
 register_experiment("fig5c", run_fig5c)
-
-if __name__ == "__main__":  # pragma: no cover — deprecated shim
-    import sys
-
-    sys.exit(module_main("fig5a", "fig5b", "fig5c"))

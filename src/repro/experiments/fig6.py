@@ -9,8 +9,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.report import Table
-from repro.experiments.registry import (module_main,
-                                        register_experiment)
+from repro.experiments.registry import register_experiment
 from repro.experiments.common import build_simulation, io_rate, sweep
 from repro.units import MiB
 from repro.workloads.iobench import MicroBench
@@ -83,8 +82,3 @@ def run_fig6c(procs_list: Optional[List[int]] = None,
 register_experiment("fig6a", run_fig6a)
 register_experiment("fig6b", run_fig6b)
 register_experiment("fig6c", run_fig6c)
-
-if __name__ == "__main__":  # pragma: no cover — deprecated shim
-    import sys
-
-    sys.exit(module_main("fig6a", "fig6b", "fig6c"))

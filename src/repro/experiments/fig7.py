@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.report import Table
-from repro.experiments.registry import (module_main,
-                                        register_experiment)
+from repro.experiments.registry import register_experiment
 from repro.experiments.common import build_simulation, sweep
 from repro.workloads.vpic import VpicIO
 
@@ -54,8 +53,3 @@ def run_fig7(procs_list: Optional[List[int]] = None, steps: int = 5,
 
 
 register_experiment("fig7", run_fig7)
-
-if __name__ == "__main__":  # pragma: no cover — deprecated shim
-    import sys
-
-    sys.exit(module_main("fig7"))

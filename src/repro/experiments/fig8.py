@@ -13,8 +13,7 @@ from typing import List, Optional
 
 from repro.analysis.report import Table
 from repro.core.config import UniviStorConfig
-from repro.experiments.registry import (module_main,
-                                        register_experiment)
+from repro.experiments.registry import register_experiment
 from repro.experiments.common import build_simulation, sweep
 from repro.workloads.vpic import VpicIO
 
@@ -56,8 +55,3 @@ def run_fig8(procs_list: Optional[List[int]] = None, steps: int = 10,
 
 
 register_experiment("fig8", run_fig8)
-
-if __name__ == "__main__":  # pragma: no cover — deprecated shim
-    import sys
-
-    sys.exit(module_main("fig8"))

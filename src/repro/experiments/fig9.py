@@ -15,8 +15,7 @@ from typing import List, Optional
 
 from repro.analysis.report import Table
 from repro.core.config import UniviStorConfig
-from repro.experiments.registry import (module_main,
-                                        register_experiment)
+from repro.experiments.registry import register_experiment
 from repro.experiments.common import build_simulation, sweep
 from repro.workloads.bdcats import BdCatsIO
 from repro.workloads.vpic import VpicIO
@@ -101,8 +100,3 @@ def run_fig9(procs_list: Optional[List[int]] = None, steps: int = 5,
 
 
 register_experiment("fig9", run_fig9)
-
-if __name__ == "__main__":  # pragma: no cover — deprecated shim
-    import sys
-
-    sys.exit(module_main("fig9"))

@@ -11,15 +11,10 @@ ask for experiments by name instead of hunting per-module functions::
 same keywords the ``run_fig*`` functions always took.  The multi-job
 workload comparison registers as ``"workload"`` (config keys are
 :class:`~repro.workloads.WorkloadSpec` fields).
-
-The per-module ``python -m repro.experiments.figN`` entry points still
-work but are deprecated shims over :func:`run_experiment`; new code and
-tooling should go through the registry (or ``repro figures``).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Mapping, Optional
 
 __all__ = [
@@ -57,23 +52,6 @@ def run_experiment(name: str, config: Optional[Mapping] = None):
 
 def list_experiments() -> List[str]:
     return sorted(_REGISTRY)
-
-
-def module_main(*names: str, argv=None) -> int:
-    """Deprecated per-module entry point (``python -m
-    repro.experiments.figN``): warns, then routes every runner the module
-    registers through :func:`run_experiment` and prints the tables."""
-    from repro.analysis.report import fmt_markdown_table
-    warnings.warn(
-        f"running experiment modules directly is deprecated; use "
-        f"repro.experiments.run_experiment({'/'.join(map(repr, names))}) "
-        f"or the 'repro figures' CLI",
-        DeprecationWarning, stacklevel=2)
-    for name in names:
-        table = run_experiment(name)
-        print(f"== {name}")
-        print(fmt_markdown_table(table, "{:.4g}"))
-    return 0
 
 
 # -- the multi-job workload comparison ----------------------------------------

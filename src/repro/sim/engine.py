@@ -15,33 +15,20 @@ random state, so a simulation is a pure function of its inputs.
 
 Scheduler architecture (docs/MODEL.md §13)
 ------------------------------------------
-Scheduling is a two-stage pipeline.  Every schedule operation appends to
-a creation-ordered *pending* list; events are *flushed* into the sorted
-structure (binary heap, or calendar buckets when ``bucket_width > 0``)
-only when the dispatch loop actually needs an ordering decision.  The
-sequence tie-breaker is assigned at flush time — the pending list is
-FIFO, so flush order equals creation order and the dispatch order is
-bit-identical to the classic schedule-time assignment, while events
-consumed before ever reaching the heap pay no heap cost at all.
+One binary heap of ``(time, seq, event)`` fed by a two-stage pipeline.
+Every schedule operation appends to a creation-ordered *pending* list;
+events are *flushed* into the heap only when the dispatch loop actually
+needs an ordering decision.  The sequence tie-breaker is assigned at
+flush time — the pending list is FIFO, so flush order equals creation
+order and the dispatch order is bit-identical to the classic
+schedule-time assignment, while events consumed before ever reaching
+the heap pay no heap cost at all.
 
-Three kernel layouts share that pipeline:
-
-* ``shards=1, bucket_width=0`` (default) — single binary heap plus two
-  fast paths: a sole pending event bypasses the heap entirely, and
-  :meth:`Process._resume` hands a freshly scheduled sole-runnable event
-  straight back to the running process (*direct handoff*), recycling the
-  consumed :class:`Timeout` through a free slot when a refcount check
-  proves no simulation code retained it.
-* ``shards=1, bucket_width=w`` — a calendar queue: events land in flat
-  time buckets of width ``w`` (sorted lazily per bucket), with the same
-  ``(time, seq)`` order as the heap.
-* ``shards=N`` — per-shard event queues with a deterministic cross-shard
-  merge: dispatch always picks the globally smallest ``(time, seq)``
-  among shard heads, and advances in bounded time *epochs* (an epoch
-  barrier every ``epoch_length`` simulated seconds).  Because ``seq`` is
-  global, the merged order is bit-identical to the single-queue order
-  for any shard count — sharding is a locality lever, never a semantics
-  knob.
+Two fast paths ride on that pipeline: a sole pending event bypasses the
+heap entirely, and :meth:`Process._resume` hands a freshly scheduled
+sole-runnable event straight back to the running process (*direct
+handoff*), recycling the consumed :class:`Timeout` through a free slot
+when a refcount check proves no simulation code retained it.
 """
 
 from __future__ import annotations
@@ -84,10 +71,6 @@ _INF = float("inf")
 # _when <= _run_until, so -inf disables it (step() must dispatch exactly
 # one event per call).
 _NEG_INF = float("-inf")
-# Bound as Engine._heap in bucket/sharded modes: truthy, so the
-# handoff/sole-pending fast paths (which require an *empty* heap) are
-# structurally disabled without an extra mode check on the hot path.
-_DISABLED = (None,)
 
 
 class Event:
@@ -98,8 +81,7 @@ class Event:
     the event are resumed in FIFO order when it triggers.
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_ok", "name",
-                 "_when", "_seq", "_shard")
+    __slots__ = ("engine", "callbacks", "_value", "_ok", "name", "_when")
 
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
@@ -141,7 +123,6 @@ class Event:
         # path (every resource grant and transfer completion lands here).
         engine = self.engine
         self._when = engine._now
-        self._shard = engine._active_shard
         engine._pending.append(self)
         return self
 
@@ -155,7 +136,6 @@ class Event:
         self._value = exception
         engine = self.engine
         self._when = engine._now
-        self._shard = engine._active_shard
         engine._pending.append(self)
         return self
 
@@ -185,7 +165,6 @@ class Timeout(Event):
         self.name = name
         self.delay = delay
         self._when = engine._now + delay
-        self._shard = engine._active_shard
         engine._pending.append(self)
 
 
@@ -200,7 +179,7 @@ class Initialize:
     and starting a process allocates one slot plus one list.
     """
 
-    __slots__ = ("callbacks", "_when", "_seq", "_shard")
+    __slots__ = ("callbacks", "_when")
 
     _ok = True
     _value = None
@@ -208,7 +187,6 @@ class Initialize:
     def __init__(self, engine: "Engine", process: "Process"):
         self.callbacks = [process._resume]
         self._when = engine._now
-        self._shard = process._shard
         engine._pending.append(self)
 
 
@@ -218,18 +196,12 @@ class Process(Event):
     The process object is itself an event that triggers when the generator
     returns (value = the generator's return value) or raises (failure).
     Other processes may therefore ``yield`` a process to join it.
-
-    ``shard`` pins the process (and every event it schedules while
-    running) to an engine shard; the default inherits the shard of the
-    process that spawned it.  Any integer key is accepted — it is reduced
-    modulo the engine's shard count, so callers can pass node ids or file
-    ids directly.  On a single-shard engine the key is inert.
     """
 
     __slots__ = ("_generator", "_target", "_send", "_throw")
 
     def __init__(self, engine: "Engine", generator: Generator,
-                 name: str = "", shard: Optional[int] = None):
+                 name: str = ""):
         if not hasattr(generator, "send"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(engine, name=name or getattr(generator, "__name__", ""))
@@ -238,10 +210,6 @@ class Process(Event):
         # attribute chain through the generator costs there.
         self._send = generator.send
         self._throw = generator.throw
-        if shard is None:
-            self._shard = engine._active_shard
-        else:
-            self._shard = shard % engine._nshards
         self._target: Optional[Event] = Initialize(engine, self)
 
     @property
@@ -406,97 +374,6 @@ class AnyOf(_Condition):
         self.succeed((event, event._value))
 
 
-class _HeapKernel:
-    """Per-shard sorted queue: a plain binary heap of (when, seq, event)."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self):
-        self._heap: list = []
-
-    def push(self, when: float, seq: int, event) -> None:
-        heappush(self._heap, (when, seq, event))
-
-    def peek_key(self):
-        heap = self._heap
-        if heap:
-            head = heap[0]
-            return (head[0], head[1])
-        return None
-
-    def pop(self):
-        return heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class _BucketKernel:
-    """Calendar queue: flat time buckets of ``width`` simulated seconds.
-
-    The dominant event population in this simulator is short-delay
-    timeouts clustered near ``now``; bucketing them turns most pushes
-    into a dict lookup plus a list append.  Each bucket is kept unsorted
-    until the dispatcher reaches it, then sorted *descending* by
-    ``(when, seq)`` so the minimum pops from the end in O(1); same-bucket
-    arrivals mark it dirty for a (Timsort-cheap) re-sort.  The order
-    popped is exactly the heap's ``(when, seq)`` total order, so the
-    bucket width is a performance knob with zero semantic footprint.
-    """
-
-    __slots__ = ("width", "_buckets", "_idx_heap", "_dirty", "_len")
-
-    def __init__(self, width: float):
-        self.width = width
-        self._buckets: dict = {}     # bucket index -> [(when, seq, event)]
-        self._idx_heap: list = []    # heap of live bucket indices
-        self._dirty: set = set()     # buckets appended-to since last sort
-        self._len = 0
-
-    def push(self, when: float, seq: int, event) -> None:
-        idx = int(when / self.width)
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [(when, seq, event)]
-            heappush(self._idx_heap, idx)
-        else:
-            bucket.append((when, seq, event))
-            self._dirty.add(idx)
-        self._len += 1
-
-    def _front(self):
-        """The bucket list holding the global minimum (min entry last)."""
-        buckets = self._buckets
-        idx_heap = self._idx_heap
-        while idx_heap:
-            idx = idx_heap[0]
-            bucket = buckets.get(idx)
-            if not bucket:
-                heappop(idx_heap)
-                buckets.pop(idx, None)
-                continue
-            if idx in self._dirty:
-                bucket.sort(reverse=True)
-                self._dirty.discard(idx)
-            return bucket
-        return None
-
-    def peek_key(self):
-        bucket = self._front()
-        if bucket is None:
-            return None
-        head = bucket[-1]
-        return (head[0], head[1])
-
-    def pop(self):
-        item = self._front().pop()
-        self._len -= 1
-        return item
-
-    def __len__(self) -> int:
-        return self._len
-
-
 class Engine:
     """The discrete-event scheduler.
 
@@ -507,59 +384,22 @@ class Engine:
         process event (joiners see it) and is re-raised by :meth:`run` if the
         crash was never observed.  When False the exception propagates
         immediately.
-    shards:
-        Number of event queues (default 1).  Events are routed to the
-        shard of the process that scheduled them (see
-        :class:`Process`); dispatch merges shard heads in global
-        ``(time, seq)`` order, so any shard count produces bit-identical
-        simulations — sharding only changes queue locality.
-    bucket_width:
-        Calendar-queue bucket width in simulated seconds for each shard
-        kernel; ``0`` (default) selects the binary heap.  Purely a
-        performance knob: dispatch order is identical for any width.
-    epoch_length:
-        Sharded mode only: simulated seconds per merge epoch.  The
-        dispatch loop re-derives the epoch window (a barrier across all
-        shards) every ``epoch_length`` seconds; :attr:`epochs` counts
-        completed windows.
     """
 
-    def __init__(self, strict: bool = True, shards: int = 1,
-                 bucket_width: float = 0.0, epoch_length: float = 1.0):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if bucket_width < 0:
-            raise ValueError(f"negative bucket_width: {bucket_width}")
-        if epoch_length <= 0:
-            raise ValueError(f"epoch_length must be > 0, got {epoch_length}")
+    def __init__(self, strict: bool = True):
         self._now: float = 0.0
         self._seq: int = 0
         #: Creation-ordered staging list shared by every schedule path;
-        #: flushed (seq assignment + kernel insertion) lazily.  The list
+        #: flushed (seq assignment + heap insertion) lazily.  The list
         #: object is never rebound — hot paths alias it.
         self._pending: list = []
-        self._nshards = int(shards)
-        self._bucket_width = float(bucket_width)
-        self._epoch_length = float(epoch_length)
-        self._epochs = 0
-        if self._nshards == 1 and self._bucket_width == 0.0:
-            self._heap: Any = []
-            self._kernels: Optional[list] = None
-        else:
-            self._heap = _DISABLED
-            if self._bucket_width > 0.0:
-                self._kernels = [_BucketKernel(self._bucket_width)
-                                 for _ in range(self._nshards)]
-            else:
-                self._kernels = [_HeapKernel()
-                                 for _ in range(self._nshards)]
+        self._heap: list = []
         # Single-slot Timeout free list fed by the direct-handoff path
         # (see Process._resume); _free_cbs is the matching empty
         # callbacks list so reuse allocates nothing.
         self._free: Optional[Timeout] = None
         self._free_cbs: Optional[list] = None
         self._active_process: Optional[Process] = None
-        self._active_shard: int = 0
         self._run_until: float = _NEG_INF
         self.strict = strict
         self._crashes: list = []
@@ -574,19 +414,6 @@ class Engine:
     @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
-
-    @property
-    def shards(self) -> int:
-        return self._nshards
-
-    @property
-    def bucket_width(self) -> float:
-        return self._bucket_width
-
-    @property
-    def epochs(self) -> int:
-        """Completed merge-epoch windows (sharded mode; 0 otherwise)."""
-        return self._epochs
 
     def next_id(self) -> int:
         """Return a fresh engine-unique integer id."""
@@ -611,7 +438,6 @@ class Engine:
             t.name = name
             t.delay = delay
             t._when = self._now + delay
-            t._shard = self._active_shard
             self._pending.append(t)
             return t
         t = _new_timeout(Timeout)
@@ -622,13 +448,11 @@ class Engine:
         t.name = name
         t.delay = delay
         t._when = self._now + delay
-        t._shard = self._active_shard
         self._pending.append(t)
         return t
 
-    def process(self, generator: Generator, name: str = "",
-                shard: Optional[int] = None) -> Process:
-        return Process(self, generator, name=name, shard=shard)
+    def process(self, generator: Generator, name: str = "") -> Process:
+        return Process(self, generator, name=name)
 
     def call_later(self, delay: float, fn) -> Timeout:
         """Run ``fn(event)`` after ``delay`` simulated seconds.
@@ -650,27 +474,18 @@ class Engine:
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         event._when = self._now + delay
-        event._shard = self._active_shard
         self._pending.append(event)
 
     def _flush(self) -> None:
-        """Move pending events into the sorted kernel(s), assigning the
-        sequence tie-breaker in creation order (the pending list is FIFO,
-        so this yields the same total order as schedule-time seqs)."""
+        """Move pending events into the heap, assigning the sequence
+        tie-breaker in creation order (the pending list is FIFO, so this
+        yields the same total order as schedule-time seqs)."""
         pending = self._pending
         seq = self._seq
-        kernels = self._kernels
-        if kernels is None:
-            heap = self._heap
-            for e in pending:
-                seq += 1
-                e._seq = seq
-                heappush(heap, (e._when, seq, e))
-        else:
-            for e in pending:
-                seq += 1
-                e._seq = seq
-                kernels[e._shard].push(e._when, seq, e)
+        heap = self._heap
+        for e in pending:
+            seq += 1
+            heappush(heap, (e._when, seq, e))
         self._seq = seq
         del pending[:]
 
@@ -683,31 +498,13 @@ class Engine:
     # and the method-call + attribute overhead dominates kernel cost.
     # Dispatch order is exactly step()'s, so determinism is unaffected.
 
-    def _min_kernel(self):
-        """The kernel holding the globally smallest (when, seq), or None."""
-        best_key = None
-        best_kernel = None
-        for kernel in self._kernels:
-            key = kernel.peek_key()
-            if key is not None and (best_key is None or key < best_key):
-                best_key = key
-                best_kernel = kernel
-        return best_key, best_kernel
-
     def step(self) -> None:
         """Process the single next event."""
         if self._pending:
             self._flush()
-        if self._kernels is None:
-            if not self._heap:
-                raise SimulationError("no scheduled events")
-            when, _seq, event = heappop(self._heap)
-        else:
-            _key, kernel = self._min_kernel()
-            if kernel is None:
-                raise SimulationError("no scheduled events")
-            when, _seq, event = kernel.pop()
-            self._active_shard = event._shard
+        if not self._heap:
+            raise SimulationError("no scheduled events")
+        when, _seq, event = heappop(self._heap)
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self._now = when
@@ -725,133 +522,37 @@ class Engine:
         """Simulated time of the next event, or ``inf`` if none."""
         if self._pending:
             self._flush()
-        if self._kernels is None:
-            return self._heap[0][0] if self._heap else _INF
-        key, _kernel = self._min_kernel()
-        return key[0] if key is not None else _INF
+        return self._heap[0][0] if self._heap else _INF
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self._now:
             raise ValueError(f"until={until} lies in the past (now={self._now})")
-        if self._kernels is not None:
-            self._run_merged(until, None)
-        else:
-            bound = _INF if until is None else until
-            pending = self._pending
-            heap = self._heap
-            pop = heappop
-            self._run_until = bound
-            try:
-                while True:
-                    if pending:
-                        if len(pending) == 1 and not heap:
-                            event = pending[0]
-                            if event._when > bound:
-                                break
-                            del pending[:]
-                        else:
-                            self._flush()
-                            if heap[0][0] > bound:
-                                break
-                            _w, _s, event = pop(heap)
-                    elif heap:
+        bound = _INF if until is None else until
+        pending = self._pending
+        heap = self._heap
+        pop = heappop
+        self._run_until = bound
+        try:
+            while True:
+                if pending:
+                    if len(pending) == 1 and not heap:
+                        event = pending[0]
+                        if event._when > bound:
+                            break
+                        del pending[:]
+                    else:
+                        self._flush()
                         if heap[0][0] > bound:
                             break
                         _w, _s, event = pop(heap)
-                    else:
+                elif heap:
+                    if heap[0][0] > bound:
                         break
-                    self._now = event._when
-                    callbacks = event.callbacks
-                    event.callbacks = None  # mark processed
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-            finally:
-                self._run_until = _NEG_INF
-        if until is not None:
-            self._now = until
-        self._raise_unobserved_crash()
-
-    def run_process(self, generator: Generator, name: str = "") -> Any:
-        """Convenience: spawn ``generator``, run to completion, return value."""
-        proc = self.process(generator, name=name)
-        if self._kernels is not None:
-            self._run_merged(None, proc)
-        else:
-            pending = self._pending
-            heap = self._heap
-            pop = heappop
-            self._run_until = _INF
-            try:
-                while proc._value is _PENDING:
-                    if pending:
-                        if len(pending) == 1 and not heap:
-                            event = pending.pop()
-                        else:
-                            self._flush()
-                            _w, _s, event = pop(heap)
-                    elif heap:
-                        _w, _s, event = pop(heap)
-                    else:
-                        raise SimulationError(
-                            f"deadlock: process {proc.name!r} is blocked "
-                            f"and no events remain")
-                    self._now = event._when
-                    callbacks = event.callbacks
-                    event.callbacks = None  # mark processed
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-            finally:
-                self._run_until = _NEG_INF
-        self._raise_unobserved_crash()
-        if not proc._ok:
-            raise proc._value
-        return proc._value
-
-    def _run_merged(self, until: Optional[float],
-                    proc: Optional[Process]) -> None:
-        """Dispatch loop for bucket and sharded kernels.
-
-        Advances in bounded time epochs: each outer lap derives a window
-        ``[head, head + epoch_length]`` from the globally smallest shard
-        head, then drains every event inside the window in ``(when, seq)``
-        merge order before re-deriving (the epoch barrier).  With one
-        kernel the merge scan degenerates to a peek; with ``proc`` set the
-        loop behaves like :meth:`run_process` (deadlock detection, stop on
-        completion); with ``until`` set like :meth:`run` (stop at bound).
-        """
-        bound = _INF if until is None else until
-        pending = self._pending
-        while True:
-            if proc is not None and proc._value is not _PENDING:
-                break
-            if pending:
-                self._flush()
-            key, kernel = self._min_kernel()
-            if kernel is None:
-                if proc is not None:
-                    raise SimulationError(
-                        f"deadlock: process {proc.name!r} is blocked "
-                        f"and no events remain")
-                break
-            if key[0] > bound:
-                break
-            epoch_end = key[0] + self._epoch_length
-            if epoch_end > bound:
-                epoch_end = bound
-            self._epochs += 1
-            while True:
-                when, _seq, event = kernel.pop()
-                self._now = when
-                self._active_shard = event._shard
+                    _w, _s, event = pop(heap)
+                else:
+                    break
+                self._now = event._when
                 callbacks = event.callbacks
                 event.callbacks = None  # mark processed
                 if callbacks:
@@ -860,14 +561,48 @@ class Engine:
                     else:
                         for callback in callbacks:
                             callback(event)
-                if proc is not None and proc._value is not _PENDING:
-                    break
+        finally:
+            self._run_until = _NEG_INF
+        if until is not None:
+            self._now = until
+        self._raise_unobserved_crash()
+
+    def run_process(self, generator: Generator, name: str = "") -> Any:
+        """Convenience: spawn ``generator``, run to completion, return value."""
+        proc = self.process(generator, name=name)
+        pending = self._pending
+        heap = self._heap
+        pop = heappop
+        self._run_until = _INF
+        try:
+            while proc._value is _PENDING:
                 if pending:
-                    self._flush()
-                key, kernel = self._min_kernel()
-                if kernel is None or key[0] > epoch_end:
-                    break  # epoch barrier
-        self._active_shard = 0
+                    if len(pending) == 1 and not heap:
+                        event = pending.pop()
+                    else:
+                        self._flush()
+                        _w, _s, event = pop(heap)
+                elif heap:
+                    _w, _s, event = pop(heap)
+                else:
+                    raise SimulationError(
+                        f"deadlock: process {proc.name!r} is blocked "
+                        f"and no events remain")
+                self._now = event._when
+                callbacks = event.callbacks
+                event.callbacks = None  # mark processed
+                if callbacks:
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        for callback in callbacks:
+                            callback(event)
+        finally:
+            self._run_until = _NEG_INF
+        self._raise_unobserved_crash()
+        if not proc._ok:
+            raise proc._value
+        return proc._value
 
     def _raise_unobserved_crash(self) -> None:
         for process, err in self._crashes:

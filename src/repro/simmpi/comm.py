@@ -54,13 +54,6 @@ class Communicator:
             raise ValueError(f"rank {rank} maps past the last node")
         return self.machine.nodes[idx]
 
-    def shard_of_rank(self, rank: int) -> int:
-        """Engine shard key for a process acting as this rank: its node
-        id, so node-local processes share an event queue on a sharded
-        engine (``Engine(shards=N)`` reduces the key modulo N; inert on
-        the default single-shard engine)."""
-        return self.node_of_rank(rank).node_id
-
     def ranks_on_node(self, node_id: int) -> List[int]:
         lo = (node_id - self.node_offset) * self.procs_per_node
         hi = min(self.size, lo + self.procs_per_node)

@@ -18,7 +18,6 @@ Typical use (see ``examples/quickstart.py``)::
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Generator, Optional
 
 from repro.analysis.metrics import Telemetry
@@ -46,19 +45,11 @@ class Simulation:
     """One job: engine + machine + ADIO registry + telemetry."""
 
     def __init__(self, spec: Optional[MachineSpec] = None,
-                 pfs_files=None, engine_shards: int = 1,
-                 engine_bucket_width: float = 0.0):
+                 pfs_files=None):
         """``pfs_files``: pass a previous job's ``sim.machine.pfs_files``
         to model a follow-up job — cached tiers start empty (they are
-        job-scoped, §I) but everything flushed to Lustre persists.
-
-        ``engine_shards`` / ``engine_bucket_width`` select the event-engine
-        kernel layout (docs/MODEL.md §13).  Both are pure performance
-        knobs: any value is bit-identical to the defaults.  They usually
-        arrive via :class:`UniviStorConfig` (``build_simulation`` and the
-        chaos harness forward them)."""
-        self.engine = Engine(shards=engine_shards,
-                             bucket_width=engine_bucket_width)
+        job-scoped, §I) but everything flushed to Lustre persists."""
+        self.engine = Engine()
         self.machine = Machine(self.engine, spec, pfs_files=pfs_files)
         self.registry = DriverRegistry()
         self.telemetry = Telemetry(self.engine)
@@ -80,34 +71,18 @@ class Simulation:
         return self.univistor
 
     def install_data_elevator(self,
-                              config: Optional[DataElevatorConfig] = None,
-                              servers_per_node: Optional[int] = None
+                              config: Optional[DataElevatorConfig] = None
                               ) -> DataElevatorServers:
         """Launch the Data Elevator baseline and register its driver.
 
         Takes a :class:`~repro.baselines.data_elevator.DataElevatorConfig`,
-        mirroring :meth:`install_univistor`.  The pre-2.0 call forms
-        ``install_data_elevator(2)`` and
-        ``install_data_elevator(servers_per_node=2)`` still work but emit
-        a :class:`DeprecationWarning` (see docs/API.md, "API stability").
+        mirroring :meth:`install_univistor`.
         """
         if self.data_elevator is not None:
             raise RuntimeError("Data Elevator already installed")
-        if isinstance(config, int):
-            warnings.warn(
-                "install_data_elevator(servers_per_node) is deprecated; "
-                "pass DataElevatorConfig(servers_per_node=...) instead",
-                DeprecationWarning, stacklevel=2)
-            config = DataElevatorConfig(servers_per_node=config)
-        elif servers_per_node is not None:
-            if config is not None:
-                raise TypeError("pass either a DataElevatorConfig or "
-                                "servers_per_node=, not both")
-            warnings.warn(
-                "install_data_elevator(servers_per_node=...) is deprecated; "
-                "pass DataElevatorConfig(servers_per_node=...) instead",
-                DeprecationWarning, stacklevel=2)
-            config = DataElevatorConfig(servers_per_node=servers_per_node)
+        if config is not None and not isinstance(config, DataElevatorConfig):
+            raise TypeError(f"install_data_elevator takes a "
+                            f"DataElevatorConfig, got {config!r}")
         self.data_elevator = DataElevatorServers(
             self.machine, config or DataElevatorConfig())
         self.registry.register(DataElevatorDriver(self.data_elevator,
@@ -158,12 +133,8 @@ class Simulation:
                                       fstype=fstype, hints=hints)
         return result
 
-    def spawn(self, generator: Generator, name: str = "",
-              shard: Optional[int] = None) -> Process:
-        """Spawn a process.  ``shard`` pins it (any integer key, reduced
-        modulo ``engine.shards``) to an engine event queue; the default
-        inherits the spawner's shard.  Inert on a single-shard engine."""
-        return self.engine.process(generator, name=name, shard=shard)
+    def spawn(self, generator: Generator, name: str = "") -> Process:
+        return self.engine.process(generator, name=name)
 
     def run(self, until: Optional[float] = None) -> None:
         self.engine.run(until=until)

@@ -9,11 +9,12 @@ consumes multiple writer blocks.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.simmpi.comm import Communicator
 from repro.simmpi.mpiio import IORequest
 from repro.simulation import Simulation
+from repro.workloads.iobench import verify_read_back
 from repro.workloads.vpic import VPIC_PROPERTIES, VpicIO
 
 __all__ = ["BdCatsIO"]
@@ -28,6 +29,16 @@ class BdCatsIO:
         self.comm = comm
         self.vpic = vpic
         self.fstype = fstype
+        # Reader rank -> the contiguous writer blocks it consumes; ranks
+        # left without a block (more readers than writers) are absent.
+        writers = vpic.comm.size
+        readers = comm.size
+        self._blocks: Dict[int, range] = {}
+        for reader in range(readers):
+            blocks = range(reader * writers // readers,
+                           (reader + 1) * writers // readers)
+            if blocks:
+                self._blocks[reader] = blocks
 
     def _read_requests(self, step: int, prop: str) -> List[IORequest]:
         """All writer blocks of ``prop``, distributed over reader ranks.
@@ -36,17 +47,10 @@ class BdCatsIO:
         into a single request (the real reader issues one hyperslab).
         """
         layout = self.vpic.layout(step)
-        writers = self.vpic.comm.size
-        readers = self.comm.size
         out: List[IORequest] = []
-        for reader in range(readers):
-            blocks = range(reader * writers // readers,
-                           (reader + 1) * writers // readers)
-            if not blocks:
-                continue
+        for reader, blocks in self._blocks.items():
             first_off, length = layout.block_range(prop, blocks[0])
-            total = length * len(blocks)
-            out.append(IORequest(reader, first_off, total))
+            out.append(IORequest(reader, first_off, length * len(blocks)))
         return out
 
     def read_step(self, step: int, verify_sample: bool = False) -> Generator:
@@ -72,20 +76,15 @@ class BdCatsIO:
 
     def _verify(self, step: int, prop_index: int, prop: str,
                 results) -> None:
-        """Check the first bytes of reader rank 0's first block."""
+        """Check the first bytes of every reader rank's first block."""
         layout = self.vpic.layout(step)
-        extents = results.get(0, [])
-        if not extents:
-            raise AssertionError(f"step {step} {prop}: reader got no data")
-        ext = extents[0]
-        sample = min(1024, ext.length)
-        got = ext.payload.materialize(ext.payload_offset, sample)
-        expected = layout.expected_block_payload(
-            prop, 0, self.vpic.seed_base(step, prop_index)).materialize(
-                0, sample)
-        if got != expected:
-            raise AssertionError(
-                f"step {step} {prop}: stale or wrong data read back")
+        seed_base = self.vpic.seed_base(step, prop_index)
+        blocks = self._blocks
+        verify_read_back(
+            results, blocks, self.vpic.bytes_per_property,
+            lambda reader: layout.expected_block_payload(
+                prop, blocks[reader][0], seed_base),
+            f"step {step} {prop}, stale or wrong data", sample_bytes=1024)
 
     # -- accounting ------------------------------------------------------------
     def measured_io_time(self) -> float:

@@ -388,7 +388,7 @@ class WorkloadEngine:
         comm = sim.comm(job.name, job.ranks, procs_per_node=ppn,
                         node_offset=offset)
         sim.spawn(self._job_body(job, pool_id, granted, comm, sim.now),
-                  name=job.name, shard=comm.shard_of_rank(0))
+                  name=job.name)
 
     def _release(self, job: Job, pool_id: int, granted: float) -> None:
         if pool_id >= 0:

@@ -8,7 +8,7 @@ read phase) runnable against any registered ADIO driver.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Mapping, Sequence, Union
 
 from repro.simmpi.comm import Communicator
 from repro.simulation import Simulation
@@ -74,17 +74,21 @@ class MicroBench:
             self.path, sample_bytes)
 
 
-def verify_read_back(results: Mapping[int, Sequence[Extent]], ranks: int,
+def verify_read_back(results: Mapping[int, Sequence[Extent]],
+                     ranks: Union[int, Iterable[int]],
                      block_bytes: int, expected: Callable[[int], Payload],
                      label: str, sample_bytes: int = 4096) -> None:
     """Assert each rank read back the first ``min(sample_bytes,
     block_bytes)`` bytes of its ``expected(rank)`` stream.
 
-    A rank whose extents hold fewer bytes than that fails too: an empty
-    read must not pass as an empty match.
+    ``ranks`` is a rank count (ranks ``0..ranks-1``) or the rank ids to
+    check.  A rank whose extents hold fewer bytes than that fails too:
+    an empty read must not pass as an empty match.
     """
     want = min(sample_bytes, block_bytes)
-    for rank in range(ranks):
+    if isinstance(ranks, int):
+        ranks = range(ranks)
+    for rank in ranks:
         got = b""
         for ext in results.get(rank, ()):
             if len(got) >= want:

@@ -336,28 +336,22 @@ class TestStorm2Determinism:
         assert a.digest != b.digest
 
     def test_version_maps_inert_on_legacy_mixes(self):
-        # The always-on version stamping is pure bookkeeping: a
-        # storm_legacy run (data_quorum=1, the pre-quorum deployment)
-        # with the feature merely present replays the pre-quorum golden
-        # digests bit-identically — same bar as the hotspot knobs
+        # The always-on version stamping is pure bookkeeping: a storm
+        # run on the pre-quorum deployment (data_quorum=1) with the
+        # feature merely present replays the pre-quorum golden digest
+        # bit-identically — same bar as the hotspot knobs
         # (test_disabled_knobs_are_inert).
-        golden = run_one(7, hardened=True, mix="storm_legacy")
-        again = run_one(7, hardened=True, mix="storm_legacy",
-                        config=replace(_config(True, "storm_legacy"),
-                                       data_quorum=1))
-        assert golden.digest == again.digest
-        assert golden.telemetry_ops == again.telemetry_ops
+        got = TestGoldenDigests._storm_dq1(7, True)
+        assert got == TestGoldenDigests.LEGACY[7]
 
 
 class TestGoldenDigests:
     """Pinned per-seed digests: the cross-PR reproducibility contract.
 
-    ``storm_legacy`` must replay the pre-quorum storm trajectory
-    bit-for-bit (these are the storm goldens as pinned before the
-    canonical mix flipped to ``data_quorum=2``); ``storm`` pins the new
-    dq=2 deployment.  Any engine-kernel layout (``engine_shards`` /
-    ``engine_bucket_width``) must reproduce the same digests — sharding
-    is a queue-locality knob, never a semantics knob (docs/MODEL.md §13).
+    ``storm`` overridden to ``data_quorum=1`` must replay the pre-quorum
+    storm trajectory bit-for-bit (these are the storm goldens as pinned
+    before the canonical mix flipped to ``data_quorum=2``); plain
+    ``storm`` pins the dq=2 deployment.
     """
 
     LEGACY = {
@@ -373,28 +367,20 @@ class TestGoldenDigests:
         11: "d5f5d9b4906f5c60817dea6350b3934a332e667967f5bf0e4df5033ded735d98",
     }
 
-    def test_storm_legacy_replays_pre_quorum_goldens(self):
+    @staticmethod
+    def _storm_dq1(seed, hardened):
+        config = replace(_config(hardened, "storm"), data_quorum=1)
+        return run_one(seed, hardened=hardened, mix="storm",
+                       config=config).digest
+
+    def test_storm_dq1_replays_pre_quorum_goldens(self):
         for seed, want in self.LEGACY.items():
-            got = run_one(seed, hardened=True, mix="storm_legacy").digest
+            got = self._storm_dq1(seed, True)
             assert got == want, f"seed {seed}: {got}"
-        got = run_one(3, hardened=False, mix="storm_legacy").digest
+        got = self._storm_dq1(3, False)
         assert got == self.LEGACY_BASELINE_3
 
     def test_canonical_storm_dq2_goldens(self):
         for seed, want in self.STORM_DQ2.items():
             got = run_one(seed, hardened=True, mix="storm").digest
             assert got == want, f"seed {seed}: {got}"
-
-    def test_engine_layout_invariant(self):
-        # One pinned seed per mix under a sharded engine and a sharded
-        # calendar-queue engine: the merged (time, seq) dispatch order
-        # must be bit-identical to the single-queue goldens.
-        for kw in ({"engine_shards": 4},
-                   {"engine_shards": 3, "engine_bucket_width": 0.01}):
-            cfg = replace(_config(True, "storm"), **kw)
-            got = run_one(7, hardened=True, mix="storm", config=cfg).digest
-            assert got == self.STORM_DQ2[7], f"{kw}: {got}"
-        cfg = replace(_config(True, "storm_legacy"), engine_shards=4)
-        got = run_one(7, hardened=True, mix="storm_legacy",
-                      config=cfg).digest
-        assert got == self.LEGACY[7]

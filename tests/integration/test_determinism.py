@@ -140,62 +140,6 @@ class TestGoldenDigests:
         self._check("lustre")
 
 
-class TestEngineLayoutInvariance:
-    """``engine_shards`` / ``engine_bucket_width`` are scheduling-layout
-    knobs, not semantics (docs/MODEL.md §13): any layout must reproduce
-    the single-queue goldens bit-identically — same final clock, same
-    record sequence, same digest."""
-
-    def _check_micro(self, **engine_kw):
-        from repro.experiments.common import univistor_config_for
-        cfg = univistor_config_for("UniviStor/DRAM", **engine_kw)
-        sim, fstype = build_simulation(64, "UniviStor/DRAM", config=cfg)
-        comm = sim.comm("iobench", size=64)
-        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
-                           bytes_per_proc=64 * MiB)
-
-        def app():
-            yield from bench.write_phase()
-            yield from bench.read_phase()
-
-        sim.run_to_completion(app())
-        golden_now, golden_count, golden_digest = GOLDEN_MICRO
-        tuples = _record_tuples(sim)
-        assert repr(sim.now) == golden_now
-        assert len(tuples) == golden_count
-        assert _digest(tuples) == golden_digest
-
-    def test_sharded_engine_matches_micro_golden(self):
-        self._check_micro(engine_shards=4)
-
-    def test_bucket_kernel_matches_micro_golden(self):
-        self._check_micro(engine_bucket_width=0.01)
-
-    def test_sharded_bucket_matches_micro_golden(self):
-        self._check_micro(engine_shards=3, engine_bucket_width=0.01)
-
-    def test_faulted_run_sharded(self):
-        cfg = UniviStorConfig.dram_bb(metadata_replication=2,
-                                      io_retry_limit=2, engine_shards=4)
-        sim, fstype = build_simulation(64, "UniviStor/(DRAM+BB)",
-                                       config=cfg)
-        sim.install_faults(FaultSpec.parse(FAULT_SPEC), seed=FAULT_SEED)
-        comm = sim.comm("iobench", size=64)
-        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
-                           bytes_per_proc=64 * MiB)
-
-        def app():
-            yield from bench.write_phase(sync=True)
-            yield from bench.read_phase()
-
-        sim.run_to_completion(app())
-        golden_now, golden_count, golden_digest = GOLDEN_FAULTED
-        tuples = _record_tuples(sim)
-        assert repr(sim.now) == golden_now
-        assert len(tuples) == golden_count
-        assert _digest(tuples) == golden_digest
-
-
 class TestRunToRunDeterminism:
     """Two fresh runs produce identical record sequences, order included."""
 

@@ -6,7 +6,6 @@ import repro
 from repro.analysis.report import Table
 from repro.experiments import (list_experiments, register_experiment,
                                run_experiment)
-from repro.experiments.registry import module_main
 
 
 class TestRegistry:
@@ -50,11 +49,3 @@ class TestRegistry:
         assert "run_experiment" in repro.__all__
         assert repro.run_experiment is run_experiment
 
-
-class TestDeprecatedModuleMains:
-    def test_module_main_warns_and_runs(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SWEEP", "64")
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            rc = module_main("fig7")
-        assert rc == 0
-        assert "== fig7" in capsys.readouterr().out

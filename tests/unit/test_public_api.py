@@ -86,23 +86,11 @@ class TestInstallDataElevatorForms:
             de = sim.install_data_elevator()
         assert de.servers_per_node == 2
 
-    def test_positional_int_form_deprecated_but_works(self):
+    def test_non_config_argument_rejected(self):
         sim = self._sim()
-        with pytest.warns(DeprecationWarning, match="DataElevatorConfig"):
-            de = sim.install_data_elevator(3)
-        assert de.servers_per_node == 3
-
-    def test_keyword_int_form_deprecated_but_works(self):
-        sim = self._sim()
-        with pytest.warns(DeprecationWarning, match="DataElevatorConfig"):
-            de = sim.install_data_elevator(servers_per_node=3)
-        assert de.servers_per_node == 3
-
-    def test_both_forms_together_rejected(self):
-        sim = self._sim()
-        with pytest.raises(TypeError, match="not both"):
-            sim.install_data_elevator(DataElevatorConfig(),
-                                      servers_per_node=3)
+        with pytest.raises(TypeError, match="DataElevatorConfig"):
+            sim.install_data_elevator(3)
+        assert sim.data_elevator is None
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

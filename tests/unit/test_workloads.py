@@ -197,8 +197,8 @@ class TestVpicIO:
 
 
 class TestBdCatsIO:
-    def make_pair(self, writer_ranks=4, reader_ranks=2, steps=2):
-        sim = make_sim()
+    def make_pair(self, writer_ranks=4, reader_ranks=2, steps=2, nodes=2):
+        sim = make_sim(nodes)
         wcomm = sim.comm("vpic", writer_ranks, procs_per_node=2)
         rcomm = sim.comm("bdcats", reader_ranks, procs_per_node=1)
         vpic = VpicIO(sim, wcomm, "univistor", steps=steps,
@@ -246,3 +246,45 @@ class TestBdCatsIO:
 
         with pytest.raises(AssertionError, match="stale or wrong"):
             sim.run_to_completion(workflow())
+
+    def test_verify_checks_every_reader(self):
+        # Writer block 2 is reader 1's first block: reader 0 reads clean
+        # data, so only a check of every reader rank catches it.
+        sim, vpic, bdcats = self.make_pair(steps=1)
+
+        def workflow():
+            yield from vpic.run(sync_last=False)
+            from repro import IORequest, PatternPayload
+            fh = yield from sim.open(vpic.comm, vpic.step_path(0), "w",
+                                     fstype="univistor")
+            offset, length = vpic.layout(0).block_range("x", 2)
+            yield from fh.write_at_all([
+                IORequest(2, offset, length, PatternPayload(424242))])
+            yield from fh.close()
+            yield from bdcats.run(verify_sample=True)
+
+        with pytest.raises(AssertionError, match="rank 1 read-back mismatch"):
+            sim.run_to_completion(workflow())
+
+    def test_verify_catches_short_read_on_reader_1(self):
+        sim, vpic, bdcats = self.make_pair(steps=1)
+        sim.run_to_completion(vpic.run(sync_last=False))
+        results = sim.run_to_completion(bdcats.read_step(0))
+        last = len(VPIC_PROPERTIES) - 1
+        prop = VPIC_PROPERTIES[last]
+        bdcats._verify(0, last, prop, results)
+        results[1] = []
+        with pytest.raises(AssertionError, match="rank 1 read back 0 of"):
+            bdcats._verify(0, last, prop, results)
+
+    def test_verify_skips_readers_without_blocks(self):
+        # More readers than writers: ranks 0 and 2 get no writer block
+        # and issue no read, so they must not count as short reads.
+        sim, vpic, bdcats = self.make_pair(writer_ranks=2, reader_ranks=4,
+                                           steps=1, nodes=4)
+
+        def workflow():
+            yield from vpic.run(sync_last=False)
+            yield from bdcats.run(verify_sample=True)
+
+        sim.run_to_completion(workflow())
