@@ -27,7 +27,6 @@ from repro.core.metadata import (
     MetadataUnavailableError,
 )
 from repro.core.resilience import DataLossError
-from repro.core.retry import IOTimeoutError
 from repro.core.striping import StripingPlan, adaptive_plan, default_plan
 from repro.core.workflow import FileState, WorkflowManager
 from repro.core.server import UniviStorServers
@@ -38,7 +37,6 @@ __all__ = [
     "DHPWriter",
     "DataLossError",
     "FileState",
-    "IOTimeoutError",
     "LogFile",
     "MetadataRecord",
     "MetadataService",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.units import MiB
 
@@ -69,10 +69,6 @@ class UniviStorConfig:
     chunk_size: float = 8 * MiB
     #: Metadata range width for the distributed KV partitioning (§II-B3).
     metadata_range_size: float = 64 * MiB
-    #: Cap on a single process's DRAM log (None -> the c/p rule of §II-B1).
-    dram_log_capacity: Optional[float] = None
-    #: Cap on a single process's shared-BB log (None -> c/p rule).
-    bb_log_capacity: Optional[float] = None
     #: Honour per-program shared-BB reservations
     #: (:meth:`UniviStorServers.set_bb_quota`): the workload engine's
     #: storage scheduler grants each job a byte budget and the c/p rule
@@ -119,9 +115,6 @@ class UniviStorConfig:
     io_retry_limit: int = 0
     #: First backoff delay in seconds; doubles per attempt.
     io_backoff_base: float = 0.05
-    #: Per-operation deadline in seconds for retried tier I/O (None = no
-    #: deadline; a miss counts as a transient failure and is retried).
-    io_timeout: Optional[float] = None
     #: §V future work — adapt each new file's caching tiers to observed
     #: usage patterns (write-once files skip the scarce DRAM tier).
     adaptive_placement: bool = False
@@ -231,8 +224,6 @@ class UniviStorConfig:
             raise ValueError("io_retry_limit must be >= 0")
         if self.io_backoff_base <= 0:
             raise ValueError("io_backoff_base must be positive")
-        if self.io_timeout is not None and self.io_timeout <= 0:
-            raise ValueError("io_timeout must be positive (or None)")
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if self.suspect_heartbeats < 1:

@@ -907,26 +907,65 @@ class MetadataService:
             return list(checkpoint) + list(suffix)
         return list(suffix)
 
+    def _layout(self, range_index: int) -> List[Tuple[int, List[int]]]:
+        """The ``(sub_start_offset, members)`` layout of a range, in offset
+        order.  An unsplit range is one sub-range covering the whole range
+        whose members are :meth:`replica_servers` — so takeover, migration
+        and rebuild run one algorithm over sub-ranges."""
+        subs = self._splits.get(range_index)
+        if subs is not None:
+            return subs
+        return [(int(range_index * self.range_size),
+                 self.replica_servers(range_index))]
+
+    def _sub_spans(self, range_index: int) -> List[Tuple[int, int, List[int]]]:
+        """``(lo, hi, members)`` of every sub-range in :meth:`_layout`."""
+        subs = self._layout(range_index)
+        ends = [start for start, _members in subs[1:]]
+        ends.append(int((range_index + 1) * self.range_size))
+        return [(start, end, members)
+                for (start, members), end in zip(subs, ends)]
+
+    def _bump_epoch(self, range_index: int) -> None:
+        self._range_epoch[range_index] = (
+            self._range_epoch.get(range_index, 0) + 1)
+
+    def _commit_layout(self, range_index: int,
+                       subs: List[Tuple[int, List[int]]]) -> None:
+        """Write a changed layout back to whichever of ``_splits`` /
+        ``_range_replicas`` held it, under a new lease epoch."""
+        if range_index in self._splits:
+            self._splits[range_index] = subs
+        else:
+            self._range_replicas[range_index] = subs[0][1]
+        self._bump_epoch(range_index)
+
     def recover_server(self, dead: int) -> List[Tuple[int, int]]:
         """Reassign every range that lost a copy with server ``dead``.
 
-        For each journaled range whose replica set includes a failed
-        server: keep the surviving members (their copies are already
-        current), pick replacement servers round-robin from the live
-        cluster, and rebuild each replacement's copy by replaying the
-        range's write-ahead journal in arrival order.  Survivors stay at
-        the head of the new set, so a range with any live copy keeps
-        answering from it and the replay only fills the spare.
+        For each journaled range with ``dead`` among its members, every
+        sub-range (an unsplit range is one) that lost a copy — to
+        ``dead`` or to any other failed, unreachable, retired or stale
+        member — keeps its surviving current members at the head of its
+        set and is refilled to its own size with spares picked
+        round-robin from the sub's home position.  A spare is never a
+        stale copy: a fenced ex-member must not be promoted back by a
+        takeover, only rebuilt by read-repair.  Each spare's copy is
+        rebuilt by replaying the sub's span of the write-ahead journal,
+        so a range with any live copy keeps answering from it.
 
         Returns ``(range_index, new_primary)`` for every range whose
-        assignment changed.  Idempotent: a second call for the same death
+        layout changed.  Idempotent: a second call for the same death
         finds the rewritten sets already free of failed members.
 
         ``dead`` may also be a *fenced* server (lease expired while
         partitioned): it is excluded the same way, and — being alive —
         is marked stale on every range it loses, so a healed partition
         finds its old lease superseded rather than a range it can still
-        serve.  Every ownership rewrite bumps the range's lease epoch.
+        serve.  Every layout rewrite bumps the range's lease epoch.
+        Fencing is base-range granular: a live ex-member of any sub is
+        fenced for the whole range, which is safe because the exclusion
+        reasons are server-wide and remove it from every sub it held.
         """
         if not 0 <= dead < self.n_servers:
             raise ValueError(f"no server {dead}")
@@ -935,155 +974,58 @@ class MetadataService:
         actions: List[Tuple[int, int]] = []
         for range_index in sorted(self._journal.keys()
                                   | self._checkpoints.keys()):
-            if range_index in self._splits:
-                primary = self._recover_split_range(range_index, dead,
-                                                    excluded)
-                if primary is not None:
-                    actions.append((range_index, primary))
-                continue
-            candidates = self.replica_servers(range_index)
-            if dead not in candidates:
+            spans = self._sub_spans(range_index)
+            if not any(dead in members for _lo, _hi, members in spans):
                 continue
             stale = self._stale.get(range_index, ())
-            current = [s for s in candidates
-                       if s not in excluded and s not in stale]
-            need = self.replication - len(current)
-            spares: List[int] = []
-            for k in range(self.n_servers):
-                if len(spares) >= need:
-                    break
-                server = (range_index + k) % self.n_servers
-                if server in excluded or server in current:
+            new_subs: List[Tuple[int, List[int]]] = []
+            fenced: List[int] = []
+            changed = False
+            for i, (start, end, members) in enumerate(spans):
+                new_set = [s for s in members
+                           if s not in excluded and s not in stale]
+                kept = len(new_set)
+                for k in range(self.n_servers):
+                    if len(new_set) >= len(members):
+                        break
+                    cand = (range_index + i + k) % self.n_servers
+                    if (cand not in excluded and cand not in stale
+                            and cand not in new_set):
+                        new_set.append(cand)
+                if new_set == members or not new_set:
+                    # Intact, or the whole pool is down for this sub: the
+                    # assignment stays (and a lost sub stays lost).
+                    new_subs.append((start, members))
                     continue
-                spares.append(server)
-            for server in spares:
-                self._rebuild_copy(range_index, server)
-            new_set = current + spares
-            if not new_set:
-                continue  # whole cluster down for this range: stays lost
-            if new_set != candidates:
-                # Ownership rewritten: new lease epoch, and every live
-                # ex-member is fenced out of its old one.
-                self._range_epoch[range_index] = (
-                    self._range_epoch.get(range_index, 0) + 1)
-                for server in candidates:
-                    if (server not in new_set
-                            and server not in self.failed_servers):
-                        self._stale.setdefault(range_index, set()).add(server)
-            self._range_replicas[range_index] = new_set
-            actions.append((range_index, new_set[0]))
+                for server in new_set[kept:]:
+                    self._rebuild_span(range_index, server, start, end)
+                new_subs.append((start, new_set))
+                changed = True
+                fenced.extend(s for s in members if s not in new_set
+                              and s not in self.failed_servers)
+            if not changed:
+                continue
+            self._commit_layout(range_index, new_subs)
+            for server in fenced:
+                self._stale.setdefault(range_index, set()).add(server)
+            actions.append((range_index, new_subs[0][1][0]))
         return actions
 
-    def _recover_split_range(self, range_index: int, dead: int,
-                             excluded: Set[int]) -> Optional[int]:
-        """Takeover for a *split* range: every sub-range that lost a copy
-        with ``dead`` (or any other excluded/stale member) is refilled
-        independently, its spares rebuilt by replaying only the sub's
-        span.  Returns the new first-sub primary when any membership
-        changed, else None."""
-        subs = self._splits[range_index]
-        if dead not in {s for _start, m in subs for s in m}:
-            return None
-        base_hi = int((range_index + 1) * self.range_size)
-        stale = self._stale.get(range_index, ())
-        new_subs: List[Tuple[int, List[int]]] = []
-        changed = False
-        fenced: List[int] = []
-        for i, (start, members) in enumerate(subs):
-            end = subs[i + 1][0] if i + 1 < len(subs) else base_hi
-            current = [s for s in members
-                       if s not in excluded and s not in stale]
-            if current == members:
-                new_subs.append((start, members))
-                continue
-            need = len(members) - len(current)
-            spares: List[int] = []
-            for k in range(self.n_servers):
-                if len(spares) >= need:
-                    break
-                cand = (range_index + i + k) % self.n_servers
-                if (cand in excluded or cand in current
-                        or cand in stale or cand in spares):
-                    continue
-                spares.append(cand)
-            for server in spares:
-                self._drop_span(server, start, end)
-                self._replay_span(range_index, server, start, end)
-            new_set = current + spares
-            if not new_set:
-                new_subs.append((start, members))
-                continue  # whole pool down for this sub: stays lost
-            new_subs.append((start, new_set))
-            changed = True
-            for server in members:
-                if server not in new_set and server not in self.failed_servers:
-                    fenced.append(server)
-        if not changed:
-            return None
-        self._splits[range_index] = new_subs
-        self._range_epoch[range_index] = (
-            self._range_epoch.get(range_index, 0) + 1)
-        # Fencing is base-range granular: a live ex-member of any sub is
-        # fenced for the whole range.  Safe — the same pass removed it
-        # from every sub it belonged to (the exclusion reasons are
-        # server-wide, not per-sub).
-        for server in fenced:
-            self._stale.setdefault(range_index, set()).add(server)
-        return new_subs[0][1][0]
-
     def _rebuild_copy(self, range_index: int, server: int) -> None:
-        """Bring a spare or stale copy current: clear the fence, drop
-        whatever the server holds for the range, and replay the journal
-        — the full accepted history, missed writes included.  On a
-        *split* range only the sub-spans the server is a member of are
-        replayed (a fenced ex-member comes back empty and current)."""
+        """Bring a stale copy current: clear the fence, then rebuild the
+        sub-spans the server is a member of from the journal — the full
+        accepted history, missed writes included — and drop the rest (a
+        fenced ex-member comes back empty and current)."""
         members = self._stale.get(range_index)
         if members is not None:
             members.discard(server)
             if not members:
                 del self._stale[range_index]
-        self._drop_range(server, range_index)
-        subs = self._splits.get(range_index)
-        if subs is None:
-            self._replay(range_index, server)
-            return
-        base_hi = int((range_index + 1) * self.range_size)
-        for i, (start, sub_members) in enumerate(subs):
-            if server not in sub_members:
-                continue
-            end = subs[i + 1][0] if i + 1 < len(subs) else base_hi
-            self._replay_span(range_index, server, start, end)
-
-    def _drop_range(self, server: int, range_index: int) -> None:
-        """Discard every record the server holds inside one range
-        (inserts split at range boundaries, so records never straddle)."""
-        store = self._stores[server]
-        lo = int(range_index * self.range_size)
-        hi = int((range_index + 1) * self.range_size)
-        for fid in list(store):
-            _starts, recs = store[fid]
-            if not recs or recs[-1].end <= lo or recs[0].offset >= hi:
-                continue
-            keep = [r for r in recs if r.end <= lo or r.offset >= hi]
-            if len(keep) == len(recs):
-                continue
-            if keep:
-                store[fid] = ([r.offset for r in keep], keep)
+        for start, end, sub_members in self._sub_spans(range_index):
+            if server in sub_members:
+                self._rebuild_span(range_index, server, start, end)
             else:
-                del store[fid]
-
-    def _replay(self, range_index: int, server: int) -> int:
-        """Rebuild one range's partition on ``server``: checkpoint first,
-        then the journal suffix (equivalent to the full history).
-        Returns pieces applied (the handoff volume)."""
-        applied = 0
-        for piece in self._checkpoints.get(range_index, ()):
-            self._insert_piece(server, piece)
-            applied += 1
-        for piece in self._journal.get(range_index, ()):
-            self._insert_piece(server, piece)
-            applied += 1
-        return applied
+                self._drop_span(server, start, end)
 
     def _drop_span(self, server: int, lo: int, hi: int) -> None:
         """Discard what the server holds inside [lo, hi), slicing records
@@ -1112,20 +1054,24 @@ class MetadataService:
             else:
                 del store[fid]
 
-    def _replay_span(self, range_index: int, server: int,
-                     lo: int, hi: int) -> int:
-        """Replay only the slice of a range's accepted history inside
-        [lo, hi) onto ``server`` — the sub-range handoff path (split,
-        merge, migration).  Returns pieces applied."""
+    def _rebuild_span(self, range_index: int, server: int,
+                      lo: int, hi: int) -> int:
+        """Replace the server's copy of [lo, hi) with the slice of the
+        range's accepted history inside it — checkpoint first, then the
+        journal suffix — the handoff path of takeover, split, merge,
+        re-replication and migration.  Returns pieces applied (the
+        handoff volume)."""
+        self._drop_span(server, lo, hi)
         applied = 0
         for source in (self._checkpoints.get(range_index, ()),
                        self._journal.get(range_index, ())):
             for piece in source:
                 if piece.end <= lo or piece.offset >= hi:
                     continue
-                self._insert_piece(server,
-                                   piece.slice(max(piece.offset, lo),
-                                               min(piece.end, hi)))
+                if piece.offset < lo or piece.end > hi:
+                    piece = piece.slice(max(piece.offset, lo),
+                                        min(piece.end, hi))
+                self._insert_piece(server, piece)
                 applied += 1
         return applied
 
@@ -1133,11 +1079,8 @@ class MetadataService:
     def sub_ranges(self, range_index: int) -> List[Tuple[int, List[int]]]:
         """The ``(sub_start_offset, members)`` layout of a range — one
         entry covering the whole range when unsplit (introspection)."""
-        subs = self._splits.get(range_index)
-        if subs is not None:
-            return [(start, list(members)) for start, members in subs]
-        return [(int(range_index * self.range_size),
-                 self.replica_servers(range_index))]
+        return [(start, list(members))
+                for start, members in self._layout(range_index)]
 
     def pool_servers(self) -> List[int]:
         """Servers currently in the placement pool (non-retired)."""
@@ -1221,23 +1164,16 @@ class MetadataService:
         handoff volume the caller prices), 0 when the range cannot split
         further.
         """
-        base_lo = int(range_index * self.range_size)
-        base_hi = int((range_index + 1) * self.range_size)
-        subs = self._splits.get(range_index)
-        if subs is None:
-            subs = [(base_lo, self.replica_servers(range_index))]
-        widest = max(
-            ((subs[i + 1][0] if i + 1 < len(subs) else base_hi) - start, i)
-            for i, (start, _members) in enumerate(subs))
-        width, i = widest
+        spans = self._sub_spans(range_index)
+        width, i = max((end - start, i)
+                       for i, (start, end, _members) in enumerate(spans))
         if width < 2:
             return 0
-        start, members = subs[i]
-        end = subs[i + 1][0] if i + 1 < len(subs) else base_hi
+        start, end, members = spans[i]
         mid = start + width // 2
         self._require_quorum(range_index, members, "split")
         new_members = self._pick_members(range_index, len(members),
-                                         avoid=members, rotate=len(subs))
+                                         avoid=members, rotate=len(spans))
         if not new_members:
             raise QuorumLostError(
                 f"metadata range {range_index}: cannot split, no healthy "
@@ -1247,19 +1183,18 @@ class MetadataService:
         for server in new_members:
             if server in members:
                 continue  # already holds the whole sub, stays current
-            self._drop_span(server, mid, end)
-            moved += self._replay_span(range_index, server, mid, end)
+            moved += self._rebuild_span(range_index, server, mid, end)
         for server in members:
             if server in new_members or server in self.failed_servers:
                 continue
             self._drop_span(server, mid, end)
+        subs = self._layout(range_index)
         self._splits[range_index] = (subs[:i]
                                      + [(start, list(members)),
                                         (mid, new_members)]
                                      + subs[i + 1:])
         self._range_replicas.pop(range_index, None)
-        self._range_epoch[range_index] = (
-            self._range_epoch.get(range_index, 0) + 1)
+        self._bump_epoch(range_index)
         self.splits_done += 1
         return moved
 
@@ -1287,12 +1222,10 @@ class MetadataService:
         old_members = {s for _start, m in subs for s in m}
         del self._splits[range_index]
         self._range_replicas[range_index] = target
-        self._range_epoch[range_index] = (
-            self._range_epoch.get(range_index, 0) + 1)
+        self._bump_epoch(range_index)
         moved = 0
         for server in target:
-            self._drop_span(server, base_lo, base_hi)
-            moved += self._replay_span(range_index, server, base_lo, base_hi)
+            moved += self._rebuild_span(range_index, server, base_lo, base_hi)
         for server in old_members:
             if server in target or server in self.failed_servers:
                 continue
@@ -1322,12 +1255,9 @@ class MetadataService:
         base_lo = int(range_index * self.range_size)
         base_hi = int((range_index + 1) * self.range_size)
         for server in spares:
-            self._drop_span(server, base_lo, base_hi)
-            moved += self._replay_span(range_index, server, base_lo, base_hi)
+            moved += self._rebuild_span(range_index, server, base_lo, base_hi)
         if spares:
-            self._range_replicas[range_index] = members + spares
-            self._range_epoch[range_index] = (
-                self._range_epoch.get(range_index, 0) + 1)
+            self._commit_layout(range_index, [(base_lo, members + spares)])
         self._read_spread.setdefault(range_index, 0)
         return moved
 
@@ -1390,74 +1320,33 @@ class MetadataService:
         moved = 0
         for range_index in sorted(self._journal.keys()
                                   | self._checkpoints.keys()):
-            subs = self._splits.get(range_index)
-            if subs is not None:
-                moved += self._migrate_split_memberships(range_index,
-                                                         server)
-                continue
-            members = self.replica_servers(range_index)
-            if server not in members:
-                continue
-            self._require_quorum(range_index, members, "migrate")
-            remaining = [s for s in members if s != server]
-            spares = [s for s in self._pick_members(
-                          range_index, 1, avoid=set(members) | {server},
-                          rotate=1)
-                      if s not in remaining and s != server][:1]
-            base_lo = int(range_index * self.range_size)
-            base_hi = int((range_index + 1) * self.range_size)
-            for spare in spares:
-                self._drop_span(spare, base_lo, base_hi)
-                moved += self._replay_span(range_index, spare,
-                                           base_lo, base_hi)
-            new_set = remaining + spares
-            if not new_set:
-                continue  # nobody to take it: assignment stays, data too
-            self._range_replicas[range_index] = new_set
-            self._range_epoch[range_index] = (
-                self._range_epoch.get(range_index, 0) + 1)
+            new_subs: List[Tuple[int, List[int]]] = []
+            changed = False
+            for i, (start, end, members) in enumerate(
+                    self._sub_spans(range_index)):
+                if server in members:
+                    self._require_quorum(range_index, members, "migrate")
+                    spares = [s for s in self._pick_members(
+                                  range_index, 1, avoid=members,
+                                  rotate=i + 1)
+                              if s not in members]
+                    for spare in spares:
+                        moved += self._rebuild_span(range_index, spare,
+                                                    start, end)
+                    new_set = [s for s in members if s != server] + spares
+                    if new_set:
+                        new_subs.append((start, new_set))
+                        changed = True
+                        continue
+                    # Nobody to take it: assignment stays, data too.
+                new_subs.append((start, members))
+            if changed:
+                self._commit_layout(range_index, new_subs)
         self._stores[server].clear()
         self._retired.add(server)
         if server in self._pool:
             self._pool.remove(server)
         self.migrations_done += 1
-        return moved
-
-    def _migrate_split_memberships(self, range_index: int,
-                                   server: int) -> int:
-        """Move every sub-range membership ``server`` holds in a split
-        range onto spares; part of :meth:`remove_server`."""
-        subs = self._splits[range_index]
-        if server not in {s for _start, m in subs for s in m}:
-            return 0
-        base_hi = int((range_index + 1) * self.range_size)
-        new_subs: List[Tuple[int, List[int]]] = []
-        moved = 0
-        changed = False
-        for i, (start, members) in enumerate(subs):
-            if server not in members:
-                new_subs.append((start, members))
-                continue
-            self._require_quorum(range_index, members, "migrate")
-            end = subs[i + 1][0] if i + 1 < len(subs) else base_hi
-            remaining = [s for s in members if s != server]
-            spares = [s for s in self._pick_members(
-                          range_index, 1, avoid=set(members) | {server},
-                          rotate=i + 1)
-                      if s not in remaining and s != server][:1]
-            for spare in spares:
-                self._drop_span(spare, start, end)
-                moved += self._replay_span(range_index, spare, start, end)
-            new_set = remaining + spares
-            if not new_set:
-                new_subs.append((start, members))
-                continue
-            new_subs.append((start, new_set))
-            changed = True
-        if changed:
-            self._splits[range_index] = new_subs
-            self._range_epoch[range_index] = (
-                self._range_epoch.get(range_index, 0) + 1)
         return moved
 
     # -- cost accounting (fast-path helpers) -------------------------------

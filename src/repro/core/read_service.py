@@ -122,29 +122,11 @@ class ReadService:
                 return system.resilience.resolve_replica(session, record)
             except DataLossError as err:
                 stale_notes.extend(err.stale_provenance)
-        # The PFS copy is only authoritative when nothing newer sits
-        # unflushed in the cache — repairing from a stale flush would be
-        # exactly the silent corruption this path exists to prevent.  The
-        # byte-count guard alone is not: a flush that skipped lost
-        # records still bumps the counter, so the ladder additionally
-        # demands the PFS version map match the authority over the span
-        # (version-ordered reads, docs/MODEL.md §12).
-        pfs = self.machine.pfs_files
-        if (session.flushed_bytes >= session.cached_bytes_written
-                and pfs.exists(session.path)):
-            pfs_stale = session.pfs_versions.stale_spans(
-                session.data_versions, record.offset, record.length)
-            if pfs_stale:
-                system.count("data-stale-reject")
-                stale_notes.extend(pfs_stale)
-            else:
-                extents = pfs.open(session.path).read_at(record.offset,
-                                                         record.length)
-                good = sum(e.length for e in extents
-                           if not isinstance(e.payload,
-                                             (ZeroPayload, CorruptPayload)))
-                if good >= record.length:
-                    return extents
+        extents, pfs_stale = self._clean_pfs_extents(
+            session, record.offset, record.length)
+        if extents is not None:
+            return extents
+        stale_notes.extend(pfs_stale)
         message = (
             f"{session.path}: [{record.offset}, +{record.length}) has no "
             f"clean surviving copy (primary on node {record.node_id} dead "
@@ -159,31 +141,46 @@ class ReadService:
         err.stale_provenance = tuple(stale_notes)
         raise err
 
-    def _pfs_namespace_extents(self, session, req):
-        """Serve one request straight from the flushed PFS file, or
-        return None when the fallback is not safe.
+    def _clean_pfs_extents(self, session, offset: int, length: int):
+        """The flushed PFS copy of ``[offset, +length)`` as
+        ``(extents, stale_spans)``; ``extents`` is None unless the copy
+        is clean.
 
-        Safe only when nothing newer sits unflushed in the cache (the
-        same staleness guard as :meth:`resolve_degraded` — a post-flush
-        overwrite makes the PFS copy stale and the honest answer is the
-        metadata error) and every byte of the span reads back as real
-        flushed data, not holes or rot.
+        The PFS copy is only authoritative when nothing newer sits
+        unflushed in the cache — repairing from a stale flush would be
+        exactly the silent corruption the fallbacks exist to prevent.
+        The byte-count guard alone is not: a flush that skipped lost
+        records still bumps the counter, so the PFS version map must
+        also match the authority over the span (version-ordered reads,
+        docs/MODEL.md §12); lagging spans are counted as
+        ``data-stale-reject`` and returned.  Every byte must then read
+        back as real flushed data, not holes or rot.
         """
         pfs = self.machine.pfs_files
         if (session.flushed_bytes < session.cached_bytes_written
                 or not pfs.exists(session.path)):
-            return None
-        if session.pfs_versions.stale_spans(session.data_versions,
-                                            req.offset, req.length):
-            # The flushed copy lags a newer write whose metadata is now
-            # unreachable — serving it would be a silent stale read.
+            return None, ()
+        stale = session.pfs_versions.stale_spans(session.data_versions,
+                                                 offset, length)
+        if stale:
             self.system.count("data-stale-reject")
-            return None
-        extents = pfs.open(session.path).read_at(req.offset, req.length)
+            return None, stale
+        extents = pfs.open(session.path).read_at(offset, length)
         good = sum(e.length for e in extents
                    if not isinstance(e.payload,
                                      (ZeroPayload, CorruptPayload)))
-        if good < req.length:
+        return (extents if good >= length else None), ()
+
+    def _pfs_namespace_extents(self, session, req):
+        """Serve one request straight from the flushed PFS file, or
+        return None when the fallback is not safe
+        (:meth:`_clean_pfs_extents`): a post-flush overwrite whose
+        metadata is now unreachable makes the PFS copy stale, and the
+        honest answer is then the metadata error.
+        """
+        extents, _stale = self._clean_pfs_extents(session, req.offset,
+                                                  req.length)
+        if extents is None:
             return None
         self.system.telemetry_hook(
             "pfs-namespace-fallback",

@@ -2,7 +2,7 @@
 
 Every timed storage operation on the flush, read and replication paths can
 be wrapped in :func:`retrying`: transient failures (injected write errors,
-device brownouts, per-operation timeouts) are re-attempted up to
+device brownouts) are re-attempted up to
 ``UniviStorConfig.io_retry_limit`` times with exponentially growing
 backoff, after which the last error surfaces to the caller.  Hard
 modelling errors (bad arguments, capacity bugs) are never retried.
@@ -10,33 +10,25 @@ modelling errors (bad arguments, capacity bugs) are never retried.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Generator, Optional
 
 from repro.sim.engine import Engine, Event
 from repro.storage.device import TransientIOError
 
-__all__ = ["IOTimeoutError", "retrying"]
-
-
-class IOTimeoutError(TransientIOError):
-    """A timed operation missed its per-operation deadline."""
+__all__ = ["retrying"]
 
 
 def retrying(engine: Engine, make_event: Callable[[], Event], *,
              limit: int, backoff_base: float,
-             timeout: Optional[float] = None,
              on_retry: Optional[Callable[[int, float, BaseException], None]]
-             = None,
-             label: str = "io") -> Generator:
+             = None) -> Generator:
     """Run ``make_event()`` until it completes, retrying transient errors.
 
     ``make_event`` is called afresh per attempt (a new flow each time) and
     may raise :class:`TransientIOError` synchronously (injected errors,
-    down devices) or return an event to wait on.  With a finite
-    ``timeout`` the wait races a deadline; a miss counts as a transient
-    failure.  ``on_retry(attempt, delay, error)`` observes every backoff —
-    the servers feed it into telemetry so retries stay auditable.
+    down devices) or return an event to wait on.  ``on_retry(attempt,
+    delay, error)`` observes every backoff — the servers feed it into
+    telemetry so retries stay auditable.
     """
     if limit < 0:
         raise ValueError(f"retry limit must be >= 0, got {limit}")
@@ -44,22 +36,13 @@ def retrying(engine: Engine, make_event: Callable[[], Event], *,
         raise ValueError(f"backoff base must be positive, got {backoff_base}")
     attempt = 0
     while True:
-        error: Optional[BaseException] = None
         try:
             event = make_event()
         except TransientIOError as err:
             error = err
         else:
-            if timeout is not None and math.isfinite(timeout):
-                winner, value = yield engine.any_of(
-                    [event, engine.timeout(timeout)])
-                if winner is event:
-                    return value
-                error = IOTimeoutError(
-                    f"{label}: no completion within {timeout:g}s")
-            else:
-                value = yield event
-                return value
+            value = yield event
+            return value
         attempt += 1
         if attempt > limit:
             raise error

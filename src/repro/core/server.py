@@ -426,14 +426,14 @@ class UniviStorServers:
     def timed_io(self, make_event, label: str) -> Event:
         """Wrap a timed storage operation in the configured retry policy.
 
-        With retries and timeouts disabled (the default) this is exactly
+        With retries disabled (the default) this is exactly
         ``make_event()`` — zero overhead on the paper's configurations.
         Otherwise the operation runs as a small engine process that
         re-attempts transient failures with exponential backoff; every
         retry is surfaced through the telemetry hook.
         """
         config = self.config
-        if config.io_retry_limit <= 0 and config.io_timeout is None:
+        if config.io_retry_limit <= 0:
             return make_event()
         from repro.core.retry import retrying
 
@@ -445,8 +445,7 @@ class UniviStorServers:
         return self.engine.process(
             retrying(self.engine, make_event, limit=config.io_retry_limit,
                      backoff_base=config.io_backoff_base,
-                     timeout=config.io_timeout, on_retry=note_retry,
-                     label=label),
+                     on_retry=note_retry),
             name=f"retry:{label}")
 
     # -- tier plumbing -----------------------------------------------------
@@ -535,17 +534,12 @@ class UniviStorServers:
         """``c/p``: available capacity over the processes sharing it.
 
         The shared-BB numerator shrinks to the program's reservation when
-        the workload engine granted one (``bb_quota``); the optional
-        per-process config caps (``dram_log_capacity`` /
-        ``bb_log_capacity``) then clamp the quotient.
+        the workload engine granted one (``bb_quota``).
         """
         if tier.is_node_local:
             device = self.tier_device(tier, node)
             p = max(1, comm.procs_on_node(node.node_id))
             cap = device.capacity / p
-            if tier is StorageTier.DRAM and \
-                    self.config.dram_log_capacity is not None:
-                cap = min(cap, self.config.dram_log_capacity)
         else:
             device = self.tier_device(tier, None)
             total = device.capacity
@@ -555,9 +549,6 @@ class UniviStorServers:
                 if quota is not None:
                     total = min(total, quota)
             cap = total / max(1, comm.size)
-            if tier is StorageTier.SHARED_BB and \
-                    self.config.bb_log_capacity is not None:
-                cap = min(cap, self.config.bb_log_capacity)
         # A log smaller than one chunk is useless; round up.
         return max(cap, self.config.chunk_size)
 

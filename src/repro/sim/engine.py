@@ -261,18 +261,16 @@ class Process(Event):
             except BaseException as err:
                 self._target = None
                 engine._active_process = None
-                if engine.strict:
-                    # With joiners the failure is delivered to them; with
-                    # none it is recorded and re-raised by run() — crashing
-                    # a process is a bug in simulation code either way.
-                    self._ok = False
-                    self._value = err
-                    self._when = engine._now
-                    pending.append(self)
-                    if not self.callbacks:
-                        engine._record_crash(self, err)
-                    return
-                raise
+                # With joiners the failure is delivered to them; with
+                # none it is recorded and re-raised by run() — crashing
+                # a process is a bug in simulation code either way.
+                self._ok = False
+                self._value = err
+                self._when = engine._now
+                pending.append(self)
+                if not self.callbacks:
+                    engine._record_crash(self, err)
+                return
 
             try:
                 cbs = next_event.callbacks
@@ -377,16 +375,12 @@ class AnyOf(_Condition):
 class Engine:
     """The discrete-event scheduler.
 
-    Parameters
-    ----------
-    strict:
-        When True (default), an uncaught exception inside a process fails the
-        process event (joiners see it) and is re-raised by :meth:`run` if the
-        crash was never observed.  When False the exception propagates
-        immediately.
+    An uncaught exception inside a process fails the process event
+    (joiners see it) and is re-raised by :meth:`run` if the crash was
+    never observed.
     """
 
-    def __init__(self, strict: bool = True):
+    def __init__(self):
         self._now: float = 0.0
         self._seq: int = 0
         #: Creation-ordered staging list shared by every schedule path;
@@ -401,7 +395,6 @@ class Engine:
         self._free_cbs: Optional[list] = None
         self._active_process: Optional[Process] = None
         self._run_until: float = _NEG_INF
-        self.strict = strict
         self._crashes: list = []
         # Monotonic id source usable by layers above (files, segments, ...).
         self._id_counter = 0

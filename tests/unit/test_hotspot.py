@@ -131,6 +131,19 @@ class TestReadSpread:
         assert len(answers) > 1
         assert snapshot(md) == before
 
+    def test_takeover_refills_widened_set_to_its_own_size(self):
+        # A read-spread range has more members than ``replication``; a
+        # takeover refills it to that size rather than shrinking it.
+        md = MetadataService(5, 100, replication=2, replica_stride=1)
+        md.insert(rec(0, 50))
+        md.set_read_spread(0)
+        assert md.replica_servers(0) == [0, 1, 2]
+        md.fail_server(0)
+        md.recover_server(0)
+        assert md.replica_servers(0) == [1, 2, 3]
+        found, _servers = md.lookup(1, 0, 50)
+        assert found == [rec(0, 50)]
+
     def test_spread_on_split_range_enables_rotation_only(self):
         md = build()
         fill_range(md)

@@ -188,6 +188,20 @@ class TestQuorumService:
         svc.set_reachable(old[0])
         assert svc.read_server_of(0) in new
 
+    def test_takeover_never_promotes_fenced_ex_member(self):
+        # A healed, fenced ex-member is alive and reachable but stale: a
+        # later takeover must pick a current spare instead of clearing
+        # its fence and making it an owner again.
+        svc = MetadataService(4, 100, replication=2, replica_stride=1)
+        svc.insert(rec(0, 50))
+        svc.set_unreachable(0)
+        svc.recover_server(0)
+        svc.set_reachable(0)
+        svc.fail_server(1)
+        svc.recover_server(1)
+        assert svc.replica_servers(0) == [2, 3]
+        assert 0 in svc.stale_members(0)
+
 
 class TestPartitionLifecycle:
     """Engine-driven: suspect held, lease fencing, stale-read safety."""
