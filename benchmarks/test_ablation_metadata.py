@@ -34,7 +34,7 @@ def read_metadata_cost(procs: int, n_metadata_servers: int) -> float:
                           system.config.metadata_range_size)
     for record in system.metadata.records_of(
             system.session("/pfs/m.h5").fid):
-        svc.insert(record)
+        svc.insert_many([record])
     lookups = {}
     for req in bench.layout.read_requests("data"):
         for server in svc.servers_for_range(req.offset, req.length):

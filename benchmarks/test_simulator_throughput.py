@@ -12,7 +12,8 @@ import numpy as np
 from repro.cluster.spec import MachineSpec
 from repro.core.config import StorageTier, UniviStorConfig
 from repro.core.location_cache import LocationCache
-from repro.core.metadata import MetadataRecord, MetadataService
+from repro.core.metadata import (MetadataRecord, MetadataService,
+                                 coalesce_records)
 from repro.experiments.common import build_simulation
 from repro.sim import BandwidthResource, Engine
 from repro.simmpi.mpiio import IORequest
@@ -83,7 +84,7 @@ class TestMetadataFastPath:
         """One collective write's record stream: per-proc contiguous runs
         of chunk records, appended wave after wave (offsets *and* VAs
         continue across waves, so compaction can collapse each proc's
-        region while per-record insertion accumulates them all)."""
+        region while the journal keeps every coalesced batch)."""
         records = []
         run_bytes = self.CHUNKS * self.CHUNK
         for proc in range(self.PROCS):
@@ -103,7 +104,7 @@ class TestMetadataFastPath:
             md = MetadataService(n_servers=8, range_size=float(1 * MiB),
                                  replication=2)
             for records in waves:
-                md.insert_many(records, coalesce=True)
+                md.insert_many(coalesce_records(records)[0])
             return md.record_count
 
         assert benchmark(run) > 0

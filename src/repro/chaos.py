@@ -218,10 +218,10 @@ def _loss_cause(kind: str, rank: int, err: Exception) -> str:
 def _config(hardened: bool, mix: str = "storm") -> UniviStorConfig:
     """The run configuration.  Both modes replicate and retry (PR 1);
     only ``hardened`` detects, takes over metadata ranges and scrubs.
-    The metadata fast path runs at full strength: batching and the
-    location cache are on by default, and a small ``journal_checkpoint``
-    forces truncation to actually fire inside every run (the 64 KiB
-    ranges journal only a few records each).
+    The metadata fast path runs at full strength: the location cache is
+    on by default, and a small ``journal_checkpoint`` forces truncation
+    to actually fire inside every run (the 64 KiB ranges journal only a
+    few records each).
 
     The ``partition`` mix replicates each range three ways (stride
     ``servers_per_node`` = one copy per node, so cutting one node off
@@ -473,9 +473,9 @@ def run_one(seed: int, hardened: bool = True,
     mix, config).
 
     ``config`` overrides the canonical :func:`_config` deployment — the
-    coherence tests use it to pin that fast-path variants (location
-    cache or batching off) replay the exact same observable run; the
-    chaos CLI uses it to tune detector/lease knobs per campaign.
+    coherence tests use it to pin that the location cache off replays
+    the exact same observable run; the chaos CLI uses it to tune
+    detector/lease knobs per campaign.
     """
     if mix not in MIXES:
         raise ValueError(f"unknown chaos mix {mix!r}; valid: {MIXES}")

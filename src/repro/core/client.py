@@ -121,13 +121,11 @@ class UniviStorDriver(ADIODriver):
         inserts_per_server: Dict[int, int] = {}
         total = 0.0
         # Metadata fast path: accumulate records across the collective op
-        # and ship one aggregated, coalesced insert per touched server at
-        # the end.  Per-request server accounting (inserts_per_server)
-        # comes from write_target_servers, which returns exactly the
-        # touched set the per-request insert returned — the simulated RPC
-        # cost is bit-identical to the unbatched path.
-        meta_batch = system.config.meta_batch
-        quorum = system.config.meta_quorum
+        # and ship one aggregated, coalesced insert_many at the end (or
+        # earlier, at an intra-op overwrite).  The simulated RPC cost is
+        # still charged per request: inserts_per_server counts the
+        # servers write_target_servers names for each request — exactly
+        # the set an insert of that request's records alone touches.
         data_quorum = system.config.data_quorum
         dq_bytes = 0.0
         dq_ranks = 0
@@ -137,23 +135,22 @@ class UniviStorDriver(ADIODriver):
         for req in requests:
             if req.length == 0:
                 continue
-            probe = None
-            if quorum:
-                # Probe-first admission: with quorum an insert can be
-                # rejected while replicas survive, so acceptance must be
-                # atomic per request — probe before freeing overwritten
-                # chunks or placing bytes, leaving a rejected request
-                # fully un-applied (the superseded records and the chunks
-                # they point at stay live and readable).
-                try:
-                    probe = metadata.write_target_servers(
-                        session.fid, req.offset, req.length)
-                except (MetadataUnavailableError, QuorumLostError):
-                    if meta_batch:
-                        self._ship_pending(session, pending)
-                    raise
+            # Probe-first admission: acceptance is atomic per request.
+            # The probe runs before freeing overwritten chunks or placing
+            # bytes, so a refused request is fully un-applied (the
+            # superseded records and the chunks they point at stay live
+            # and readable), while earlier requests' records ship and
+            # stay durable.  Without quorum the overwrite lookup below
+            # would refuse the same span; probing first is what keeps
+            # those earlier records from being dropped.
+            try:
+                touched = metadata.write_target_servers(
+                    session.fid, req.offset, req.length)
+            except (MetadataUnavailableError, QuorumLostError):
+                self._ship_pending(session, pending)
+                raise
             writer = session.writer_for(comm, req.rank)
-            if meta_batch and pending_spans:
+            if pending_spans:
                 # pending_spans is kept sorted and its spans are pairwise
                 # disjoint (an overlap ships and resets the list), so the
                 # only candidate overlap is the rightmost span starting
@@ -164,7 +161,7 @@ class UniviStorDriver(ADIODriver):
                     # An intra-op overwrite: ship what's pending so the
                     # free-overwritten pass (and the DHP free-chunk
                     # accounting behind it) sees the earlier records of
-                    # this very op, exactly like the unbatched path.
+                    # this very op.
                     self._ship_pending(session, pending)
                     pending = []
                     pending_spans = []
@@ -198,8 +195,8 @@ class UniviStorDriver(ADIODriver):
                     rank_pfs = True
             # Authority stamping (docs/MODEL.md §12): one write version
             # per collective op, split at range boundaries so each span
-            # carries the epoch current at write time.  Quorum-rejected
-            # requests never reach here (probe raised above), so a
+            # carries the epoch current at write time.  Refused requests
+            # never reach here (the probe raised above), so a
             # rejected overwrite leaves the authority — like the
             # superseded records — fully intact.
             if op_version is None:
@@ -230,35 +227,8 @@ class UniviStorDriver(ADIODriver):
                                                             rank_sync)
                     dq_bytes += rank_sync
                     dq_ranks += 1
-            if meta_batch:
-                if probe is not None:
-                    # Quorum mode already probed this request's admission
-                    # up front; the state cannot have changed since.
-                    touched = probe
-                else:
-                    try:
-                        touched = metadata.write_target_servers(
-                            session.fid, req.offset, req.length)
-                    except (MetadataUnavailableError, QuorumLostError):
-                        # A touched range has lost its whole replica set.
-                        # Reproduce the unbatched semantics exactly:
-                        # earlier requests' records are already durable
-                        # (shipped below), this request's insert
-                        # partially applies then raises at the lost
-                        # range.
-                        self._ship_pending(session, pending)
-                        cache = system.location_cache
-                        if cache is not None:
-                            cache.invalidate_file(session.fid)
-                        metadata.insert_many(records)
-                        raise
-                pending.extend(records)
-                insort(pending_spans, (req.offset, req.offset + req.length))
-            else:
-                touched = metadata.insert_many(records)
-                cache = system.location_cache
-                if cache is not None:
-                    cache.insert_records(records)
+            pending.extend(records)
+            insort(pending_spans, (req.offset, req.offset + req.length))
             for s in touched:
                 inserts_per_server[s] = inserts_per_server.get(s, 0) + 1
             for key in rank_local_tiers:
@@ -267,8 +237,7 @@ class UniviStorDriver(ADIODriver):
             bb_ranks += rank_bb
             pfs_ranks += rank_pfs
             total += req.length
-        if meta_batch and pending:
-            self._ship_pending(session, pending)
+        self._ship_pending(session, pending)
         session.bytes_written += total
         state.bytes_written += total
 
@@ -376,8 +345,9 @@ class UniviStorDriver(ADIODriver):
     def _ship_pending(self, session: FileSession,
                       pending: List[MetadataRecord]) -> None:
         """Ship the op's accumulated records: coalesce contiguous
-        neighbours, one aggregated insert per touched server (one journal
-        batch per range), write-through into the location cache."""
+        neighbours, then one :meth:`MetadataService.insert_many` (one
+        journal batch per touched range) and the write-through into the
+        location cache.  A no-op when nothing is pending."""
         if not pending:
             return
         records, merges = coalesce_records(pending)

@@ -151,12 +151,6 @@ class UniviStorConfig:
     #: from its session cursor on the next tick, bounding the background
     #: bandwidth one tick may consume.
     scrub_rate_limit: float = 0.0
-    #: Metadata fast path (docs/MODEL.md §9) — batched, coalescing
-    #: metadata inserts: one aggregated insert per server per collective
-    #: write, with contiguous records merged before the journal append.
-    #: Timing-neutral (the per-request server accounting is preserved);
-    #: off reverts to one insert round per request.
-    meta_batch: bool = True
     #: Client-side (fid, offset-range) -> (ProcID, VA) location cache:
     #: reads on tracked files resolve placement locally and skip the
     #: server-side store search.  Timing-neutral (the same metadata RPCs
@@ -211,6 +205,9 @@ class UniviStorConfig:
             raise ValueError("chunk_size must be positive")
         if self.metadata_range_size <= 0:
             raise ValueError("metadata_range_size must be positive")
+        if not float(self.metadata_range_size).is_integer():
+            raise ValueError("metadata_range_size must be a whole number "
+                             f"of bytes, got {self.metadata_range_size}")
         if self.metadata_replication < 1:
             raise ValueError("metadata_replication must be >= 1")
         if self.data_quorum not in (1, 2):
@@ -293,7 +290,7 @@ class UniviStorConfig:
                  "workflow_enabled", "flush_enabled",
                  "resilience_enabled", "adaptive_placement",
                  "health_enabled", "recovery_enabled", "scrub_enabled",
-                 "meta_batch", "location_cache", "meta_quorum",
+                 "location_cache", "meta_quorum",
                  "bb_quota_enforced", "hotspot_enabled"}
         changes = {}
         for flag in flags:

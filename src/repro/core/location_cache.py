@@ -20,8 +20,8 @@ than a cache artifact.  Anything that could break the mirror drops the
 file (or the whole cache) instead of patching it:
 
 * **overwrite** — the write-through supersede trims overlapped entries
-  exactly like the stores; a failed (partially applied) insert batch
-  drops the file outright;
+  exactly like the stores (the client admits each request before
+  placing it, so no shipped batch applies only in part);
 * **flush-driven layer migration** — flush completion drops the file
   (the cached VAs' layer association is no longer authoritative);
 * **delete** — ``delete_file`` drops the file;
@@ -46,13 +46,10 @@ __all__ = ["LocationCache"]
 class LocationCache:
     """Per-client (fid, offset-range) -> (ProcID, VA) record cache."""
 
-    def __init__(self, range_size: float, compaction: bool = True):
+    def __init__(self, range_size: float):
         if range_size <= 0:
             raise ValueError(f"range_size must be positive, got {range_size}")
         self.range_size = float(range_size)
-        #: Mirror of the authoritative store's compaction setting — both
-        #: sides must merge identically for the mirror to stay exact.
-        self.compaction = compaction
         # fid -> (sorted start offsets, records); same shape as one
         # authoritative store, but holding every range of the file.
         self._files: Dict[int, Tuple[List[int], List[MetadataRecord]]] = {}
@@ -103,14 +100,13 @@ class LocationCache:
         exists to prevent."""
         files = self._files
         range_size = self.range_size
-        compaction = self.compaction
         for record in records:
             store = files.get(record.fid)
             if store is None:
                 continue
             wrapped = {record.fid: store}
             for piece in split_record(record, range_size):
-                apply_insert(wrapped, piece, range_size, compaction)
+                apply_insert(wrapped, piece, range_size)
 
     # -- lookup ------------------------------------------------------------
     def lookup(self, fid: int, offset: int,

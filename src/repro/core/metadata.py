@@ -27,15 +27,17 @@ lookups route to the new owner instead of failing over per-read forever,
 and a range whose *whole* replica set died comes back instead of raising
 ``MetadataUnavailableError`` until the end of time.
 
-Metadata fast path (perf extension, docs/MODEL.md §9): batched inserts
-(:meth:`insert_many` journals per-range batches and applies them grouped
-by range), contiguous-record **coalescing** before the journal append,
-**merge-on-insert compaction** inside the stores (adjacent contiguous
-records of the same writer collapse, bounding the list length every
-lookup bisects over), and **journal checkpoint + truncation** (once every
-replica of a range is alive to acknowledge, the range's journal folds
-into a compacted snapshot, so takeover replay cost stops growing with
-session lifetime).  All of it is timing-neutral: the simulated cost
+Metadata fast path (perf extension, docs/MODEL.md §9): one insert path,
+:meth:`insert_many`, which takes a batch of records in one range-ordered
+pass (one journal ``extend`` per touched range; the first range that
+cannot ack raises, earlier ranges stay applied), **merge-on-insert
+compaction** inside the stores (adjacent contiguous records of the same
+writer collapse, bounding the list length every lookup bisects over),
+and **journal checkpoint + truncation** (once every replica of a range
+is alive to acknowledge, the range's journal folds into a compacted
+snapshot, so takeover replay cost stops growing with session lifetime).
+Callers coalesce contiguous records with :func:`coalesce_records`
+before the insert.  All of it is timing-neutral: the simulated cost
 accounting is unchanged, only the simulator's own work shrinks.
 
 Hotspot mitigation (adaptive extension, docs/MODEL.md §11): a base
@@ -137,12 +139,11 @@ def split_record(record: "MetadataRecord",
 
 
 def apply_insert(store: Dict[int, Tuple[List[int], List["MetadataRecord"]]],
-                 piece: "MetadataRecord", range_size: float,
-                 compaction: bool = True) -> None:
+                 piece: "MetadataRecord", range_size: float) -> None:
     """Insert one range-local piece into a ``fid -> (starts, records)``
     interval store: trim/remove overlapped records (an overwrite
-    supersedes them), then — with ``compaction`` — merge the seams the
-    insert created, never across a range boundary.
+    supersedes them), then merge the seams the insert created, never
+    across a range boundary.
 
     Shared by the authoritative per-server stores and the client-side
     :class:`~repro.core.location_cache.LocationCache`, so both views hold
@@ -166,24 +167,23 @@ def apply_insert(store: Dict[int, Tuple[List[int], List["MetadataRecord"]]],
                    if r is not None]
     recs[lo:hi] = replacement
     starts[lo:hi] = [r.offset for r in replacement]
-    if compaction:
-        # Merge the seams the insert created: recs[lo-1] through the
-        # record after the replacement.  Merges never cross a range
-        # boundary — replicas hold per-range piece streams, so an
-        # in-range merge is identical on every copy (and pieces keep the
-        # "one owner per piece" property the partitioning tests pin).
-        j = max(lo, 1)
-        end_idx = lo + len(replacement)
-        while j <= end_idx and j < len(recs):
-            prev, cur = recs[j - 1], recs[j]
-            if (_mergeable(prev, cur)
-                    and int(prev.offset // range_size)
-                    == int((cur.end - 1) // range_size)):
-                recs[j - 1:j + 1] = [_merge(prev, cur)]
-                del starts[j]
-                end_idx -= 1
-            else:
-                j += 1
+    # Merge the seams the insert created: recs[lo-1] through the record
+    # after the replacement.  Merges never cross a range boundary —
+    # replicas hold per-range piece streams, so an in-range merge is
+    # identical on every copy (and pieces keep the "one owner per piece"
+    # property the partitioning tests pin).
+    j = max(lo, 1)
+    end_idx = lo + len(replacement)
+    while j <= end_idx and j < len(recs):
+        prev, cur = recs[j - 1], recs[j]
+        if (_mergeable(prev, cur)
+                and int(prev.offset // range_size)
+                == int((cur.end - 1) // range_size)):
+            recs[j - 1:j + 1] = [_merge(prev, cur)]
+            del starts[j]
+            end_idx -= 1
+        else:
+            j += 1
 
 
 @dataclass(frozen=True)
@@ -231,12 +231,16 @@ class MetadataService:
 
     def __init__(self, n_servers: int, range_size: float,
                  replication: int = 1, replica_stride: int = 1,
-                 compaction: bool = True, checkpoint_threshold: int = 0,
-                 quorum: bool = False):
+                 checkpoint_threshold: int = 0, quorum: bool = False):
         if n_servers < 1:
             raise ValueError(f"need at least one server, got {n_servers}")
         if range_size <= 0:
             raise ValueError(f"range_size must be positive, got {range_size}")
+        if not float(range_size).is_integer():
+            # Range boundaries are byte offsets: a fractional width puts
+            # them between bytes and split_record cuts empty pieces.
+            raise ValueError(f"range_size must be a whole number of bytes, "
+                             f"got {range_size}")
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         if replica_stride < 1:
@@ -249,10 +253,6 @@ class MetadataService:
         self.range_size = float(range_size)
         self.replication = min(replication, n_servers)
         self.replica_stride = replica_stride
-        #: Merge adjacent contiguous same-writer records inside the stores
-        #: (never across a range boundary), bounding the per-fid list
-        #: length that every lookup bisects over.
-        self.compaction = compaction
         #: Fold a range's journal into a compacted checkpoint once it
         #: reaches this many entries *and* every replica is alive to
         #: acknowledge.  0 disables truncation (journal grows unbounded,
@@ -668,112 +668,67 @@ class MetadataService:
                 continue
             self._stale.setdefault(range_index, set()).add(server)
 
-    def insert(self, record: MetadataRecord) -> Set[int]:
-        """Insert (overwriting overlaps); returns servers contacted.
+    def insert_many(self, records: Iterable[MetadataRecord]) -> Set[int]:
+        """Insert a batch (overwriting overlaps); returns servers contacted.
 
-        With replication every ackable replica of the piece's range
-        receives a copy; a range whose whole replica set is dead rejects
-        the write, and quorum mode additionally rejects writes a
-        majority cannot ack (:meth:`_write_ackers`).  Accepted pieces
-        are appended to the range's write-ahead journal (after the
-        acceptance check: a rejected write must not be resurrected by a
-        later takeover replay); live members that missed the write are
-        fenced as stale.
+        One range-ordered pass: every record is cut into range-local
+        pieces (and at sub-range boundaries of a split range), and the
+        ranges are handled in the order the batch first touches them.
+        Ranges partition the offset space, so grouping pieces by range
+        cannot reorder an overwrite.  Per range, the ackers are checked
+        before any piece is applied (every sub-range's, for a split
+        range — :meth:`_write_ackers`); then the range's pieces are
+        journaled with one ``extend`` (after the check: a rejected write
+        must not be resurrected by a later takeover replay), applied on
+        every acker, live members that missed them are fenced as stale,
+        and the journal may checkpoint.
+
+        The first range that cannot ack raises, with the fid, offset and
+        length of the refused piece attached.  Every earlier range stays
+        applied and journaled; the refused range and every later one are
+        left untouched.
         """
+        range_size = self.range_size
+        per_range: Dict[int, List[MetadataRecord]] = {}
+        for record in records:
+            for piece in self._split_by_range(record):
+                per_range.setdefault(int(piece.offset // range_size),
+                                     []).append(piece)
         touched: Set[int] = set()
-        for piece in self._split_by_range(record):
-            range_index = int(piece.offset // self.range_size)
+        insert = self._insert_piece
+        for range_index, pieces in per_range.items():
+            split = range_index in self._splits
+            # The piece a refusal names: the range's first, or for a
+            # split range the first whose sub-range cannot ack.
+            piece = pieces[0]
             try:
-                ackers = self._write_ackers(range_index, piece.offset)
+                if split:
+                    # Each piece routes to its sub-range's member set
+                    # (pieces are already sliced at sub boundaries).
+                    per_piece = []
+                    for piece in pieces:
+                        per_piece.append(
+                            self._write_ackers(range_index, piece.offset))
+                else:
+                    ackers = self._write_ackers(range_index)
             except DataLossError as err:
                 err.fid = piece.fid
                 err.offset = piece.offset
                 err.length = piece.length
                 raise
-            self._journal.setdefault(range_index, []).append(piece)
-            for server in ackers:
-                touched.add(server)
-                self._insert_piece(server, piece)
-            if self.unreachable_servers or self._stale:
-                members = (self._members_at(range_index, piece.offset)
-                           if range_index in self._splits else None)
-                self._mark_missed(range_index, ackers, members)
-            self._maybe_checkpoint(range_index)
-        return touched
-
-    def insert_many(self, records: Iterable[MetadataRecord],
-                    coalesce: bool = False,
-                    stats: Optional[Dict[str, int]] = None) -> Set[int]:
-        """Batched insert: one journal append per touched range, deduped
-        touched-server set, optional contiguous-record coalescing.
-
-        Functionally identical to inserting the records one at a time —
-        ranges partition the offset space, so grouping pieces by range
-        cannot reorder an overwrite — but the journal takes one
-        ``extend`` per range instead of one ``append`` per piece and each
-        replica applies its range's pieces in one pass.  When any touched
-        range has lost its whole replica set the call falls back to the
-        sequential path so the partial-apply semantics of the legacy loop
-        (pieces before the dead range stick, then the raise) are
-        preserved bit-for-bit.
-        """
-        if coalesce:
-            records, merges = coalesce_records(records)
-        else:
-            records = list(records)
-            merges = 0
-        per_range: Dict[int, List[MetadataRecord]] = {}
-        n_pieces = 0
-        for record in records:
-            for piece in self._split_by_range(record):
-                per_range.setdefault(int(piece.offset // self.range_size),
-                                     []).append(piece)
-                n_pieces += 1
-        if stats is not None:
-            stats["coalesced"] = stats.get("coalesced", 0) + merges
-            stats["batches"] = stats.get("batches", 0) + len(per_range)
-            stats["pieces"] = stats.get("pieces", 0) + n_pieces
-        ackers_by_range: Dict[int, List[int]] = {}
-        split_ackers: Dict[int, List[List[int]]] = {}
-        for range_index, pieces in per_range.items():
-            try:
-                if range_index in self._splits:
-                    # Split range: each piece routes to its sub-range's
-                    # member set (pieces are already sliced at sub
-                    # boundaries by _split_by_range).
-                    split_ackers[range_index] = [
-                        self._write_ackers(range_index, p.offset)
-                        for p in pieces]
-                else:
-                    ackers_by_range[range_index] = self._write_ackers(
-                        range_index)
-            except DataLossError:
-                # Legacy semantics under range loss (and quorum loss):
-                # apply sequentially until the failing range rejects the
-                # write, preserving the partial-apply the unbatched loop
-                # produced bit-for-bit.
-                touched = set()
-                for record in records:
-                    touched |= self.insert(record)
-                return touched
-        touched = set()
-        for range_index, pieces in per_range.items():
             self._journal.setdefault(range_index, []).extend(pieces)
-            per_piece = split_ackers.get(range_index)
-            if per_piece is not None:
+            if split:
                 for piece, ackers in zip(pieces, per_piece):
                     for server in ackers:
                         touched.add(server)
-                        self._insert_piece(server, piece)
+                        insert(server, piece)
                     if self.unreachable_servers or self._stale:
                         self._mark_missed(
                             range_index, ackers,
                             self._members_at(range_index, piece.offset))
             else:
-                ackers = ackers_by_range[range_index]
                 for server in ackers:
                     touched.add(server)
-                    insert = self._insert_piece
                     for piece in pieces:
                         insert(server, piece)
                 if self.unreachable_servers or self._stale:
@@ -792,44 +747,7 @@ class MetadataService:
                 if self.on_fence_reject is not None:
                     self.on_fence_reject(range_index, server)
                 return
-        self._insert_into(self._stores[server], piece)
-
-    def _insert_into(self,
-                     store: Dict[int, Tuple[List[int], List[MetadataRecord]]],
-                     piece: MetadataRecord) -> None:
-        apply_insert(store, piece, self.range_size, self.compaction)
-
-    def compact(self, fid: Optional[int] = None) -> int:
-        """Compaction sweep: merge every adjacent contiguous same-writer
-        pair (within one range) across all stores; returns merges done.
-
-        Merge-on-insert keeps stores compacted incrementally; the sweep
-        covers stores populated while ``compaction`` was off, or after
-        bulk mutations, and is what long-lived deployments would run in
-        the background.
-        """
-        merged = 0
-        for server, store in enumerate(self._stores):
-            if server in self.failed_servers:
-                continue
-            fids = [fid] if fid is not None else list(store)
-            for f in fids:
-                entry = store.get(f)
-                if not entry:
-                    continue
-                starts, recs = entry
-                j = 1
-                while j < len(recs):
-                    prev, cur = recs[j - 1], recs[j]
-                    if (_mergeable(prev, cur)
-                            and int(prev.offset // self.range_size)
-                            == int((cur.end - 1) // self.range_size)):
-                        recs[j - 1:j + 1] = [_merge(prev, cur)]
-                        del starts[j]
-                        merged += 1
-                    else:
-                        j += 1
-        return merged
+        apply_insert(self._stores[server], piece, self.range_size)
 
     # -- journal checkpointing ---------------------------------------------
     def _maybe_checkpoint(self, range_index: int) -> None:
@@ -859,9 +777,9 @@ class MetadataService:
                 return
         scratch: Dict[int, Tuple[List[int], List[MetadataRecord]]] = {}
         for piece in self._checkpoints.get(range_index, ()):
-            self._insert_into(scratch, piece)
+            apply_insert(scratch, piece, self.range_size)
         for piece in journal:
-            self._insert_into(scratch, piece)
+            apply_insert(scratch, piece, self.range_size)
         snapshot: List[MetadataRecord] = []
         for f in sorted(scratch):
             snapshot.extend(scratch[f][1])
@@ -1355,11 +1273,12 @@ class MetadataService:
         """Servers an insert covering [offset, offset+length) contacts —
         the live replica set of every touched range.
 
-        Client-computable without the records themselves: the batched
-        write path prices its aggregated insert per *request* with this,
-        reproducing exactly the touched set the per-request insert
-        returned.  Raises like :meth:`insert` when a touched range has
-        lost its whole replica set.
+        Client-computable without the records themselves: the write
+        path ships one aggregated :meth:`insert_many` per collective op
+        but prices it per *request* with this — the touched set an
+        ``insert_many`` of that request's records alone would return.
+        Raises like :meth:`insert_many` when a touched range cannot ack,
+        annotated with the fid and the touched range's clipped span.
         """
         if length <= 0:
             return set()

@@ -9,6 +9,7 @@ from repro import (
     Simulation,
     UniviStorConfig,
 )
+from repro.core.metadata import MetadataUnavailableError
 from repro.units import KiB, MiB
 
 
@@ -196,3 +197,43 @@ class TestWorkflowIntegration:
         sim.run()
         # Danger of stale reads — but no waiting (ENABLE_WORKFLOW unset).
         assert times["reader_open"] < 5.0
+
+
+class TestMetadataRangeLoss:
+    def test_write_into_lost_range_ships_earlier_requests_then_raises(self):
+        # Baseline config with one metadata copy per range: failing
+        # server 1 loses range 1 whole (ranges go round-robin over the
+        # 4 servers), and the write runs without quorum.
+        block = int(64 * KiB)
+        sim, comm = setup(UniviStorConfig.dram_only(
+            flush_enabled=False, metadata_replication=1,
+            metadata_range_size=float(block)))
+        system = sim.univistor
+        system.metadata.fail_server(1)
+        errors = []
+
+        def app():
+            fh = yield from sim.open(comm, "/f", "w", fstype="univistor")
+            try:
+                # Rank 0 stays in live range 0; rank 1 crosses from
+                # range 0 into the dead range 1.
+                yield from fh.write_at_all([
+                    IORequest(0, 0, block // 4, PatternPayload(0)),
+                    IORequest(1, block - block // 4, block // 2,
+                              PatternPayload(1))])
+            except MetadataUnavailableError as err:
+                errors.append(err)
+
+        sim.run_to_completion(app())
+        fid = system.session("/f").fid
+        assert len(errors) == 1
+        err = errors[0]
+        # The error names the dead span the refused request touches.
+        assert (err.fid, err.offset, err.length) == (fid, block, block // 4)
+        # Rank 0's earlier request shipped and is readable; rank 1's was
+        # refused whole, its live-range part included.
+        found, _ = system.metadata.lookup(fid, 0, block)
+        assert [(r.offset, r.length, r.proc_id) for r in found] == [
+            (0, block // 4, 0)]
+        # The location cache still mirrors the store exactly.
+        assert system.location_cache.lookup(fid, 0, block) == found

@@ -63,6 +63,14 @@ class TestUniviStorConfig:
         with pytest.raises(ValueError):
             UniviStorConfig(chunk_size=0)
 
+    def test_fractional_metadata_range_size_rejected(self):
+        # A range boundary between two bytes used to pass construction
+        # and then crash the first write inside split_record.
+        with pytest.raises(ValueError, match="metadata_range_size"):
+            UniviStorConfig.dram_only(metadata_range_size=100000.5)
+        assert UniviStorConfig(
+            metadata_range_size=65536.0).metadata_range_size == 65536.0
+
     def test_workflow_enabled_kwarg_on_variants(self):
         assert UniviStorConfig.dram_only(workflow_enabled=True).workflow_enabled
 

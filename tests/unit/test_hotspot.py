@@ -89,7 +89,7 @@ class TestSplitMerge:
 
     def test_split_stops_at_unit_width(self):
         md = MetadataService(n_servers=4, range_size=2.0, replication=1)
-        md.insert(MetadataRecord(1, 0, 2, 0, 0.0, StorageTier.DRAM, 0))
+        md.insert_many([MetadataRecord(1, 0, 2, 0, 0.0, StorageTier.DRAM, 0)])
         assert md.split_range(0) >= 0  # 2 -> two width-1 subs
         assert md.split_range(0) == 0  # width < 2: cannot split further
 
@@ -135,7 +135,7 @@ class TestReadSpread:
         # A read-spread range has more members than ``replication``; a
         # takeover refills it to that size rather than shrinking it.
         md = MetadataService(5, 100, replication=2, replica_stride=1)
-        md.insert(rec(0, 50))
+        md.insert_many([rec(0, 50)])
         md.set_read_spread(0)
         assert md.replica_servers(0) == [0, 1, 2]
         md.fail_server(0)

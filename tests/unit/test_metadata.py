@@ -47,11 +47,16 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             MetadataService(4, 0)
 
+    def test_fractional_range_size_rejected(self):
+        with pytest.raises(ValueError, match="range_size"):
+            MetadataService(4, 100000.5)
+        assert MetadataService(4, 64.0).range_size == 64.0
+
 
 class TestInsertLookup:
     def test_roundtrip(self):
         svc = MetadataService(4, 100)
-        svc.insert(rec(0, 50))
+        svc.insert_many([rec(0, 50)])
         found, touched = svc.lookup(1, 0, 50)
         assert len(found) == 1
         assert found[0].offset == 0 and found[0].length == 50
@@ -59,7 +64,7 @@ class TestInsertLookup:
 
     def test_lookup_clips(self):
         svc = MetadataService(4, 100)
-        svc.insert(rec(0, 50, va=1000))
+        svc.insert_many([rec(0, 50, va=1000)])
         found, _ = svc.lookup(1, 10, 20)
         assert len(found) == 1
         assert found[0].offset == 10
@@ -68,7 +73,7 @@ class TestInsertLookup:
 
     def test_record_split_across_ranges(self):
         svc = MetadataService(4, 100)
-        touched = svc.insert(rec(50, 100))  # spans ranges 0 and 1
+        touched = svc.insert_many([rec(50, 100)])  # spans ranges 0 and 1
         assert touched == {0, 1}
         found, _ = svc.lookup(1, 50, 100)
         assert sum(r.length for r in found) == 100
@@ -77,36 +82,36 @@ class TestInsertLookup:
 
     def test_overwrite_replaces(self):
         svc = MetadataService(2, 1000)
-        svc.insert(rec(0, 100, proc=1))
-        svc.insert(rec(20, 30, proc=2))
+        svc.insert_many([rec(0, 100, proc=1)])
+        svc.insert_many([rec(20, 30, proc=2)])
         found, _ = svc.lookup(1, 0, 100)
         assert [(r.offset, r.length, r.proc_id) for r in found] == [
             (0, 20, 1), (20, 30, 2), (50, 50, 1)]
 
     def test_overwrite_va_alignment_preserved(self):
         svc = MetadataService(2, 1000)
-        svc.insert(rec(0, 100, proc=1, va=500))
-        svc.insert(rec(20, 30, proc=2, va=0))
+        svc.insert_many([rec(0, 100, proc=1, va=500)])
+        svc.insert_many([rec(20, 30, proc=2, va=0)])
         found, _ = svc.lookup(1, 50, 10)
         assert found[0].va == 550
 
     def test_files_are_independent(self):
         svc = MetadataService(2, 1000)
-        svc.insert(rec(0, 10, fid=1))
-        svc.insert(rec(0, 10, fid=2, proc=9))
+        svc.insert_many([rec(0, 10, fid=1)])
+        svc.insert_many([rec(0, 10, fid=2, proc=9)])
         found, _ = svc.lookup(2, 0, 10)
         assert found[0].proc_id == 9
 
     def test_lookup_hole_returns_partial(self):
         svc = MetadataService(2, 1000)
-        svc.insert(rec(100, 50))
+        svc.insert_many([rec(100, 50)])
         found, _ = svc.lookup(1, 0, 300)
         assert len(found) == 1
         assert found[0].offset == 100
 
     def test_delete_file(self):
         svc = MetadataService(2, 100)
-        svc.insert(rec(0, 500))
+        svc.insert_many([rec(0, 500)])
         touched = svc.delete_file(1)
         assert touched == {0, 1}
         found, _ = svc.lookup(1, 0, 500)
@@ -116,7 +121,7 @@ class TestInsertLookup:
     def test_records_of_sorted(self):
         svc = MetadataService(3, 10)
         for off in (50, 0, 30, 20):
-            svc.insert(rec(off, 5))
+            svc.insert_many([rec(off, 5)])
         records = svc.records_of(1)
         assert [r.offset for r in records] == [0, 20, 30, 50]
 
@@ -124,7 +129,7 @@ class TestInsertLookup:
         """Fig. 3's point: records spread over servers, none owns all."""
         svc = MetadataService(4, 10)
         for off in range(0, 400, 10):
-            svc.insert(rec(off, 10))
+            svc.insert_many([rec(off, 10)])
         counts = svc.server_record_counts()
         assert counts == [10, 10, 10, 10]
 
@@ -161,9 +166,9 @@ class TestMetadataProperties:
         svc = MetadataService(n_servers, range_size)
         ref = [None] * 600  # byte -> proc_id
         for offset, length, proc in ops:
-            svc.insert(MetadataRecord(fid=1, offset=offset, length=length,
-                                      proc_id=proc, va=offset,
-                                      tier=StorageTier.DRAM, node_id=0))
+            svc.insert_many([MetadataRecord(
+                fid=1, offset=offset, length=length, proc_id=proc,
+                va=offset, tier=StorageTier.DRAM, node_id=0)])
             for b in range(offset, offset + length):
                 ref[b] = proc
         found, _ = svc.lookup(1, 0, 600)
@@ -180,9 +185,9 @@ class TestMetadataProperties:
     def test_every_offset_owned_by_exactly_one_server(self, ops, n_servers):
         svc = MetadataService(n_servers, 64)
         for offset, length, proc in ops:
-            svc.insert(MetadataRecord(fid=1, offset=offset, length=length,
-                                      proc_id=proc, va=offset,
-                                      tier=StorageTier.DRAM, node_id=0))
+            svc.insert_many([MetadataRecord(
+                fid=1, offset=offset, length=length, proc_id=proc,
+                va=offset, tier=StorageTier.DRAM, node_id=0)])
         # Each stored piece must live on the server that owns its offset.
         for server in range(n_servers):
             store = svc._stores[server].get(1)
@@ -203,21 +208,21 @@ class TestBisectLookupEdgeCases:
         # The record starts before the window: bisect lands past it and
         # the step-back must recover it.
         svc = MetadataService(4, 1000)
-        svc.insert(rec(0, 500))
+        svc.insert_many([rec(0, 500)])
         found, _ = svc.lookup(1, 200, 100)
         assert [(r.offset, r.length, r.va) for r in found] == [(200, 100, 200)]
 
     def test_record_ending_at_window_start_excluded(self):
         svc = MetadataService(4, 1000)
-        svc.insert(rec(0, 200))
-        svc.insert(rec(200, 100))
+        svc.insert_many([rec(0, 200)])
+        svc.insert_many([rec(200, 100)])
         found, _ = svc.lookup(1, 200, 50)
         assert [(r.offset, r.length) for r in found] == [(200, 50)]
 
     def test_record_starting_at_window_end_excluded(self):
         svc = MetadataService(4, 1000)
-        svc.insert(rec(100, 100))
-        svc.insert(rec(200, 100))
+        svc.insert_many([rec(100, 100)])
+        svc.insert_many([rec(200, 100)])
         found, _ = svc.lookup(1, 100, 100)
         assert [(r.offset, r.length) for r in found] == [(100, 100)]
 
@@ -225,7 +230,7 @@ class TestBisectLookupEdgeCases:
         # A lookup spanning a partition boundary is answered by both
         # range owners, split exactly at the boundary.
         svc = MetadataService(4, 100)
-        svc.insert(rec(50, 100))  # insert splits at offset 100
+        svc.insert_many([rec(50, 100)])  # insert splits at offset 100
         found, touched = svc.lookup(1, 50, 100)
         assert [(r.offset, r.length) for r in found] == [(50, 50), (100, 50)]
         assert touched == {0, 1}
@@ -234,14 +239,14 @@ class TestBisectLookupEdgeCases:
         # The identity fast path: an uncut record comes back as the
         # stored frozen object itself.
         svc = MetadataService(4, 1000)
-        svc.insert(rec(100, 100))
+        svc.insert_many([rec(100, 100)])
         stored = svc._stores[0][1][1][0]
         found, _ = svc.lookup(1, 0, 1000)
         assert found[0] is stored
 
     def test_replicated_lookup_no_duplicates(self):
         svc = MetadataService(4, 100, replication=2)
-        svc.insert(rec(0, 250))
+        svc.insert_many([rec(0, 250)])
         found, touched = svc.lookup(1, 0, 250)
         assert [(r.offset, r.length) for r in found] == [
             (0, 100), (100, 100), (200, 50)]
@@ -250,7 +255,7 @@ class TestBisectLookupEdgeCases:
 
     def test_failed_primary_fails_over_and_fires_hook(self):
         svc = MetadataService(4, 100, replication=2)
-        svc.insert(rec(0, 100))
+        svc.insert_many([rec(0, 100)])
         failovers = []
         svc.on_failover = lambda rng, server: failovers.append((rng, server))
         svc.fail_server(0)
@@ -262,7 +267,7 @@ class TestBisectLookupEdgeCases:
     def test_all_replicas_failed_raises(self):
         from repro.core.metadata import MetadataUnavailableError
         svc = MetadataService(4, 100, replication=2)
-        svc.insert(rec(0, 100))
+        svc.insert_many([rec(0, 100)])
         svc.fail_server(0)
         svc.fail_server(1)
         with pytest.raises(MetadataUnavailableError):

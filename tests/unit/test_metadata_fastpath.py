@@ -2,10 +2,13 @@
 and journal checkpoint + truncation (docs/MODEL.md §9)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import StorageTier
 from repro.core.metadata import (MetadataRecord, MetadataService,
-                                 MetadataUnavailableError, coalesce_records)
+                                 MetadataUnavailableError, QuorumLostError,
+                                 coalesce_records)
 
 KB = 1024
 
@@ -60,7 +63,7 @@ class TestInsertCompaction:
     def test_merge_on_insert_bounds_store(self):
         md = MetadataService(n_servers=2, range_size=1024 * KB)
         for i in range(64):
-            md.insert(rec(i * 4 * KB, 4 * KB))
+            md.insert_many([rec(i * 4 * KB, 4 * KB)])
         # 256 KB of contiguous same-writer data in one range: one record.
         assert md.record_count == 1
         found, _ = md.lookup(1, 0, 256 * KB)
@@ -69,7 +72,7 @@ class TestInsertCompaction:
 
     def test_merge_never_crosses_range_boundary(self):
         md = MetadataService(n_servers=1, range_size=64 * KB)
-        md.insert(rec(0, 128 * KB))
+        md.insert_many([rec(0, 128 * KB)])
         # One server owns both ranges: mergeable but range-partitioned.
         assert md.record_count == 2
         for piece in md.records_of(1):
@@ -77,39 +80,22 @@ class TestInsertCompaction:
             last = int((piece.end - 1) // md.range_size)
             assert first == last
 
-    def test_compaction_off_preserves_pieces(self):
-        md = MetadataService(n_servers=2, range_size=1024 * KB,
-                             compaction=False)
-        for i in range(8):
-            md.insert(rec(i * 4 * KB, 4 * KB))
-        assert md.record_count == 8
-
-    def test_compact_sweep(self):
-        md = MetadataService(n_servers=2, range_size=1024 * KB,
-                             compaction=False)
-        for i in range(8):
-            md.insert(rec(i * 4 * KB, 4 * KB))
-        merged = md.compact()
-        assert merged == 7
-        assert md.record_count == 1
-        found, _ = md.lookup(1, 0, 32 * KB)
-        assert sum(r.length for r in found) == 32 * KB
-
     def test_compacted_lookup_matches_uncompacted(self):
-        plain = MetadataService(n_servers=4, range_size=64 * KB,
-                                compaction=False)
-        fast = MetadataService(n_servers=4, range_size=64 * KB)
+        # The oracle is the uncompacted byte map: every byte's latest
+        # writer and VA, independent of how the stores merge records.
+        md = MetadataService(n_servers=4, range_size=64 * KB)
         writes = [(0, 16 * KB, 0), (16 * KB, 16 * KB, 0),
                   (32 * KB, 32 * KB, 1), (8 * KB, 16 * KB, 1),
                   (120 * KB, 16 * KB, 0), (64 * KB, 56 * KB, 0)]
+        oracle = {}
         for off, ln, proc in writes:
-            plain.insert(rec(off, ln, proc=proc))
-            fast.insert(rec(off, ln, proc=proc))
+            md.insert_many([rec(off, ln, proc=proc)])
+            oracle.update(self._bytemap([rec(off, ln, proc=proc)]))
         for off in range(0, 136 * KB, 8 * KB):
-            a, _ = plain.lookup(1, off, 16 * KB)
-            b, _ = fast.lookup(1, off, 16 * KB)
+            found, _ = md.lookup(1, off, 16 * KB)
             # Same bytes from the same sources, possibly fewer records.
-            assert self._bytemap(a) == self._bytemap(b)
+            assert self._bytemap(found) == {
+                b: v for b, v in oracle.items() if off <= b < off + 16 * KB}
 
     @staticmethod
     def _bytemap(records):
@@ -125,20 +111,19 @@ class TestInsertManyBatching:
         md = MetadataService(n_servers=2, range_size=64 * KB,
                              replication=2)
         records = [rec(i * 64 * KB, 64 * KB) for i in range(4)]
-        stats = {}
-        touched = md.insert_many(records, stats=stats)
+        touched = md.insert_many(records)
         # 4 ranges x full replica set over 2 servers -> both, once each.
         assert touched == {0, 1}
-        assert stats["batches"] == 4 and stats["pieces"] == 4
+        assert sorted(md._journal) == [0, 1, 2, 3]
         for range_index in range(4):
             assert len(md._journal[range_index]) == 1
 
     def test_coalesce_before_journal_append(self):
         md = MetadataService(n_servers=2, range_size=1024 * KB)
-        records = [rec(i * 4 * KB, 4 * KB) for i in range(8)]
-        stats = {}
-        md.insert_many(records, coalesce=True, stats=stats)
-        assert stats["coalesced"] == 7
+        records, merges = coalesce_records(
+            [rec(i * 4 * KB, 4 * KB) for i in range(8)])
+        assert merges == 7
+        md.insert_many(records)
         assert len(md._journal[0]) == 1  # one journaled piece, not 8
 
     def test_batched_equals_sequential(self):
@@ -149,7 +134,7 @@ class TestInsertManyBatching:
         touched_a = a.insert_many(records)
         touched_b = set()
         for r in records:
-            touched_b |= b.insert(r)
+            touched_b |= b.insert_many([r])
         assert touched_a == touched_b
         assert a.records_of(1) == b.records_of(1)
         assert a.server_record_counts() == b.server_record_counts()
@@ -157,11 +142,29 @@ class TestInsertManyBatching:
     def test_dead_range_rejects_batch_like_sequential(self):
         md = MetadataService(n_servers=2, range_size=64 * KB)
         md.fail_server(1)  # range 1 (odd ranges) unavailable
-        with pytest.raises(MetadataUnavailableError):
+        with pytest.raises(MetadataUnavailableError) as info:
             md.insert_many([rec(0, 128 * KB)])
-        # The piece in the live range stuck (legacy partial-apply).
+        # The error names the refused piece: range 1's half.
+        err = info.value
+        assert (err.fid, err.offset, err.length) == (1, 64 * KB, 64 * KB)
+        # The piece in the range before the dead one stuck.
         found, _ = md.lookup(1, 0, 64 * KB)
         assert sum(r.length for r in found) == 64 * KB
+        assert 1 not in md._journal
+
+    def test_refusal_follows_first_touch_order(self):
+        # Ranges go in the order the batch first touches them, not in
+        # offset order: range 2 comes first here, so it sticks, and the
+        # later piece in range 0 is left out with the dead range 1.
+        md = MetadataService(n_servers=2, range_size=64 * KB)
+        md.fail_server(1)
+        with pytest.raises(MetadataUnavailableError) as info:
+            md.insert_many([rec(128 * KB, 16 * KB),
+                            rec(64 * KB, 16 * KB, proc=1),
+                            rec(0, 16 * KB)])
+        assert info.value.offset == 64 * KB
+        assert sorted(md._journal) == [2]
+        assert md.lookup(1, 0, 16 * KB)[0] == []
 
 
 class TestJournalCheckpoint:
@@ -175,7 +178,7 @@ class TestJournalCheckpoint:
     def test_truncation_fires_and_bounds_journal(self):
         md = self.make()
         for i in range(32):
-            md.insert(rec(i * 2 * KB, 2 * KB, va=i * 2 * KB))
+            md.insert_many([rec(i * 2 * KB, 2 * KB, va=i * 2 * KB)])
         assert md.checkpoints_taken > 0
         assert md.journal_entries_truncated > 0
         for range_index, entries in md._journal.items():
@@ -190,17 +193,18 @@ class TestJournalCheckpoint:
         # truncated range must keep its (emptied) key.
         md = self.make()
         for i in range(8):
-            md.insert(rec(i * 2 * KB, 2 * KB, proc=i % 2, va=i * 2 * KB))
+            md.insert_many([rec(i * 2 * KB, 2 * KB, proc=i % 2,
+                                va=i * 2 * KB)])
         assert md.checkpoints_taken > 0
         assert 0 in md._journal
 
     def test_no_truncation_with_dead_replica(self):
         md = self.make()
-        md.insert(rec(0, 2 * KB))
+        md.insert_many([rec(0, 2 * KB)])
         md.fail_server(1)
         before = md.checkpoints_taken
         for i in range(1, 8):
-            md.insert(rec(i * 2 * KB, 2 * KB, va=i * 2 * KB))
+            md.insert_many([rec(i * 2 * KB, 2 * KB, va=i * 2 * KB)])
         # Server 1 never acked: the range's journal must stay complete.
         assert md.checkpoints_taken == before
         assert len(md._journal[0]) == 8
@@ -208,7 +212,8 @@ class TestJournalCheckpoint:
     def test_replay_after_truncation_rebuilds_range(self):
         md = self.make(n_servers=4)
         for i in range(16):
-            md.insert(rec(i * 2 * KB, 2 * KB, proc=i % 2, va=i * 2 * KB))
+            md.insert_many([rec(i * 2 * KB, 2 * KB, proc=i % 2,
+                                va=i * 2 * KB)])
         assert md.checkpoints_taken > 0
         expect = md.records_of(1)
         expect_map = [(r.offset, r.length, r.proc_id, r.va) for r in expect]
@@ -228,17 +233,159 @@ class TestJournalCheckpoint:
         unbounded = self.make(checkpoint_threshold=0)
         for i in range(64):
             r = rec(i * KB, KB, va=i * KB)
-            bounded.insert(r)
-            unbounded.insert(r)
+            bounded.insert_many([r])
+            unbounded.insert_many([r])
         assert (len(bounded.journal_records(0))
                 < len(unbounded.journal_records(0)))
 
     def test_delete_file_scrubs_checkpoints(self):
         md = self.make()
         for i in range(8):
-            md.insert(rec(i * 2 * KB, 2 * KB, va=i * 2 * KB))
+            md.insert_many([rec(i * 2 * KB, 2 * KB, va=i * 2 * KB)])
         assert md.checkpoints_taken > 0
         md.delete_file(1)
         assert md.record_count == 0
         for range_index in list(md._journal) + list(md._checkpoints):
             assert all(p.fid != 1 for p in md.journal_records(range_index))
+
+
+_write = st.tuples(st.integers(min_value=0, max_value=150),
+                   st.integers(min_value=1, max_value=40),
+                   st.integers(min_value=0, max_value=3))
+
+
+class TestInsertManyContract:
+    """The one ``insert_many`` contract against a per-byte oracle: on
+    success the lookup bytes are the oracle's; on a raise exactly the
+    ranges before the refusing one (in first-touch order) are applied
+    and journaled, and the refusing range and every later one are
+    untouched in the stores and the journal."""
+
+    @staticmethod
+    def _record(offset, length, proc):
+        # VA contiguous with the offset per writer, so same-writer runs
+        # merge in the stores.
+        return MetadataRecord(1, offset, length, proc,
+                              float(offset + 1000 * proc),
+                              StorageTier.DRAM, 0)
+
+    @staticmethod
+    def _pieces(md, record):
+        """The record cut at range and sub-range boundaries, computed
+        from the layout alone: ``[(range_index, piece)]``."""
+        size = int(md.range_size)
+        cuts = set()
+        r = record.offset // size
+        while r * size < record.end:
+            cuts.add(r * size)
+            cuts.update(start for start, _m in md.sub_ranges(r))
+            r += 1
+        cuts = sorted(c for c in cuts if record.offset < c < record.end)
+        bounds = [record.offset] + cuts + [record.end]
+        return [(lo // size, record.slice(lo, hi))
+                for lo, hi in zip(bounds, bounds[1:])]
+
+    @staticmethod
+    def _refuses(md, range_index, offset):
+        """Why the sub-range at ``offset`` cannot ack, or None."""
+        members = [m for start, m in md.sub_ranges(range_index)
+                   if start <= offset][-1]
+        ackers = [s for s in members if s not in md.failed_servers
+                  and s not in md.unreachable_servers]
+        if all(s in md.failed_servers for s in members):
+            return MetadataUnavailableError
+        if not ackers or (md.quorum
+                          and len(ackers) < len(members) // 2 + 1):
+            return QuorumLostError
+        return None
+
+    @staticmethod
+    def _bytes(records):
+        out = {}
+        for r in records:
+            for b in range(r.offset, r.end):
+                out[b] = (r.proc_id, r.va + (b - r.offset))
+        return out
+
+    @staticmethod
+    def _range_state(md, range_index):
+        """Every server's records inside the range, plus its journal."""
+        size = md.range_size
+        held = [[r for r in store.get(1, ([], []))[1]
+                 if int(r.offset // size) == range_index]
+                for store in md._stores]
+        return held, list(md._journal.get(range_index, ()))
+
+    @given(st.integers(min_value=2, max_value=6),
+           st.integers(min_value=1, max_value=3),
+           st.booleans(),
+           st.sampled_from([8, 16, 32]),
+           st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+           st.lists(_write, max_size=5),
+           st.lists(_write, min_size=1, max_size=12),
+           st.sets(st.integers(min_value=0, max_value=5), max_size=3),
+           st.sets(st.integers(min_value=0, max_value=5), max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_range_ordered_accept_or_raise(self, n_servers, replication,
+                                           quorum, range_size, splits,
+                                           before, batch, failed,
+                                           unreachable):
+        md = MetadataService(n_servers, range_size,
+                             replication=replication, quorum=quorum)
+        for r in splits:
+            md.split_range(r)
+        prior = [self._record(*w) for w in before]
+        md.insert_many(prior)
+        for s in sorted(failed):
+            if s < n_servers:
+                md.fail_server(s)
+        for s in sorted(unreachable):
+            if s < n_servers:
+                md.set_unreachable(s)
+
+        records = [self._record(*w) for w in batch]
+        per_range = {}
+        for record in records:
+            for r, piece in self._pieces(md, record):
+                per_range.setdefault(r, []).append(piece)
+        order = list(per_range)
+        refused = None
+        for i, r in enumerate(order):
+            for piece in per_range[r]:
+                why = self._refuses(md, r, piece.offset)
+                if why is not None:
+                    refused = (i, piece, why)
+                    break
+            if refused:
+                break
+        applied = order if refused is None else order[:refused[0]]
+        states = {r: self._range_state(md, r) for r in order}
+
+        if refused is None:
+            md.insert_many(records)
+        else:
+            _i, piece, why = refused
+            with pytest.raises(why) as info:
+                md.insert_many(records)
+            err = info.value
+            assert (err.fid, err.offset, err.length) == (
+                piece.fid, piece.offset, piece.length)
+            for r in order[refused[0]:]:
+                assert self._range_state(md, r) == states[r]
+
+        oracle = self._bytes(prior)
+        for r in applied:
+            oracle.update(self._bytes(per_range[r]))
+            _held, journal = states[r]
+            assert md._journal[r] == journal + per_range[r]
+        for r in applied:
+            # Read back every sub-range the batch wrote to (its others
+            # may have lost every member and be unreadable).
+            starts = [start for start, _m in md.sub_ranges(r)]
+            ends = starts[1:] + [(r + 1) * range_size]
+            for lo, hi in zip(starts, ends):
+                if not any(lo <= p.offset < hi for p in per_range[r]):
+                    continue
+                found, _ = md.lookup(1, lo, hi - lo)
+                assert self._bytes(found) == {
+                    b: v for b, v in oracle.items() if lo <= b < hi}

@@ -97,7 +97,7 @@ class TestQuorumService:
         svc = self.svc()
         replicas = svc.replica_servers(0)
         svc.set_unreachable(replicas[2])
-        svc.insert(rec(0, 50))
+        svc.insert_many([rec(0, 50)])
         assert svc.stale_members(0) == {replicas[2]}
         found, _ = svc.lookup(1, 0, 50)
         assert len(found) == 1
@@ -108,7 +108,7 @@ class TestQuorumService:
         svc.set_unreachable(replicas[1])
         svc.set_unreachable(replicas[2])
         with pytest.raises(QuorumLostError) as err:
-            svc.insert(rec(0, 50))
+            svc.insert_many([rec(0, 50)])
         assert err.value.range_index == 0
         assert err.value.acked == 1
         assert err.value.needed == 2
@@ -135,7 +135,7 @@ class TestQuorumService:
         svc = self.svc()
         replicas = svc.replica_servers(0)
         svc.set_unreachable(replicas[0])
-        svc.insert(rec(0, 50))
+        svc.insert_many([rec(0, 50)])
         svc.set_reachable(replicas[0])
         assert svc.stale_members(0) == {replicas[0]}
         server = svc.read_server_of(0)
@@ -148,7 +148,7 @@ class TestQuorumService:
         svc = self.svc(quorum=False)
         replicas = svc.replica_servers(0)
         svc.set_unreachable(replicas[0])
-        svc.insert(rec(0, 50))
+        svc.insert_many([rec(0, 50)])
         svc.set_reachable(replicas[0])
         server = svc.read_server_of(0)
         assert server == replicas[1]
@@ -157,7 +157,7 @@ class TestQuorumService:
 
     def test_unreachable_majority_read_raises_quorum_lost(self):
         svc = self.svc()
-        svc.insert(rec(0, 50))
+        svc.insert_many([rec(0, 50)])
         for server in svc.replica_servers(0):
             svc.set_unreachable(server)
         with pytest.raises(QuorumLostError):
@@ -172,7 +172,7 @@ class TestQuorumService:
     def test_takeover_fences_live_ex_member_and_bumps_epoch(self):
         svc = MetadataService(6, 100, replication=2, replica_stride=2,
                               quorum=True)
-        svc.insert(rec(0, 50))
+        svc.insert_many([rec(0, 50)])
         old = svc.replica_servers(0)
         assert svc.range_epoch(0) == 0
         svc.set_unreachable(old[0])     # partitioned, alive
@@ -193,7 +193,7 @@ class TestQuorumService:
         # later takeover must pick a current spare instead of clearing
         # its fence and making it an owner again.
         svc = MetadataService(4, 100, replication=2, replica_stride=1)
-        svc.insert(rec(0, 50))
+        svc.insert_many([rec(0, 50)])
         svc.set_unreachable(0)
         svc.recover_server(0)
         svc.set_reachable(0)
