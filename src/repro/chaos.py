@@ -18,8 +18,9 @@ Two configurations matter:
 
 * ``hardened`` — :meth:`UniviStorConfig.hardened`: failure detection,
   metadata range takeover, integrity scrubbing, replication, retries.
-* ``baseline`` — the same minus detection/takeover/scrubbing (the PR 1
-  story: replication and client-side failover only).
+* ``baseline`` — the same with the one ``self_healing`` switch off, so
+  no detection, takeover or scrubbing (the PR 1 story: replication and
+  client-side failover only).
 
 The campaign's acceptance bar: zero invariant violations in either mode,
 and the hardened mode turns nearly all of the baseline's lost reads into
@@ -103,7 +104,7 @@ class ChaosRunResult:
     #: the storm-gap trajectory across PRs hinges on this width vs the
     #: detection delay.
     crash_window: Optional[float] = None
-    #: Mid-storm overwrite outcomes (``partition`` and ``hotspot``
+    #: Overwrite outcomes (``partition``, ``hotspot`` and ``storm2``
     #: mixes): a write either commits on a majority or is rejected whole
     #: with a structured error — ``writes_lost`` counts honest
     #: rejections.
@@ -217,7 +218,8 @@ def _loss_cause(kind: str, rank: int, err: Exception) -> str:
 
 def _config(hardened: bool, mix: str = "storm") -> UniviStorConfig:
     """The run configuration.  Both modes replicate and retry (PR 1);
-    only ``hardened`` detects, takes over metadata ranges and scrubs.
+    only ``hardened`` turns on ``self_healing`` (detection, metadata
+    range takeover, scrubbing).
     The metadata fast path runs at full strength: the location cache is
     on by default, and a small ``journal_checkpoint`` forces truncation
     to actually fire inside every run (the 64 KiB ranges journal only a
@@ -257,10 +259,7 @@ def _config(hardened: bool, mix: str = "storm") -> UniviStorConfig:
     else:
         raise ValueError(f"unknown chaos mix {mix!r}; valid: {MIXES}")
     config = UniviStorConfig.hardened(**kw)
-    if not hardened:
-        config = config.without("health_enabled", "recovery_enabled",
-                                "scrub_enabled")
-    return config
+    return config if hardened else config.without("self_healing")
 
 
 def _settle_for(config: UniviStorConfig) -> float:
@@ -486,24 +485,83 @@ def run_one(seed: int, hardened: bool = True,
     system = sim.install_univistor(cfg)
     comm = sim.comm("chaos", NODES * PROCS_PER_NODE,
                     procs_per_node=PROCS_PER_NODE)
-    expected = {r: PatternPayload(r).materialize(0, BLOCK)
-                for r in range(comm.size)}
+    ranks = range(comm.size)
+    expected = {r: PatternPayload(r).materialize(0, BLOCK) for r in ranks}
     # Hotspot mix: each rank also owns a small slot inside ONE shared
     # range (seeded before the storm so every slot has a committed
     # baseline; the overwrite waves then update it when they commit).
     hot_expected = {r: PatternPayload(50 + r).materialize(0, HOT_SLOT)
-                    for r in range(comm.size)} if mix == "hotspot" else {}
+                    for r in ranks} if mix == "hotspot" else {}
+
+    def hot_slot(r: int, payload=None) -> IORequest:
+        return IORequest(r, HOT_BASE + r * _HOT_STRIDE, HOT_SLOT, payload)
+
+    def overwrite(fh, requests, expect, label):
+        """One single-rank write per request.  Quorum admission must
+        either commit a write on a majority (``expect`` advances to its
+        bytes) or reject it whole with a structured error — the honest
+        loss the invariant allows.  ``label`` prefixes violations."""
+        for req in requests:
+            r = req.rank
+            try:
+                yield from fh.write_at_all([req])
+            except DataLossError as err:
+                result.writes_lost += 1
+                result.failure_causes += (_loss_cause("write", r, err),)
+                continue
+            except Exception as err:  # noqa: BLE001 - the invariant
+                result.violations.append(
+                    f"rank {r}: {label}unhandled "
+                    f"{type(err).__name__}: {err}")
+                continue
+            expect[r] = req.payload.materialize(0, req.length)
+            result.writes_ok += 1
+
+    def close(fh, label):
+        try:
+            yield from fh.close()
+            yield from fh.sync()
+        except DataLossError:
+            pass  # flush blocked by the storm; caches/replicas still serve
+        except Exception as err:  # noqa: BLE001 - the invariant
+            result.violations.append(
+                f"{label}close: unhandled {type(err).__name__}: {err}")
+
+    def verify(fh, requests, expect, label, corrupt):
+        """One single-rank read per request: correct bytes, or a
+        structured DataLossError; anything else is a violation."""
+        for req in requests:
+            r = req.rank
+            try:
+                data = yield from fh.read_at_all([req])
+            except DataLossError as err:
+                # Structured loss is the honest failure the invariant
+                # allows.
+                result.reads_lost += 1
+                result.failure_causes += (_loss_cause("read", r, err),)
+                continue
+            except Exception as err:  # noqa: BLE001 - the invariant
+                result.violations.append(
+                    f"rank {r}: {label}unhandled "
+                    f"{type(err).__name__}: {err}")
+                continue
+            blob = b"".join(e.materialize() for e in data[r])
+            if blob == expect[r]:
+                result.reads_ok += 1
+            else:
+                result.violations.append(
+                    f"rank {r}: {corrupt} "
+                    f"({sum(a != b for a, b in zip(blob, expect[r]))} "
+                    f"wrong bytes)")
 
     def app():
         fh = yield from sim.open(comm, "/chaos", "w", fstype="univistor")
         seed_reqs = [
             IORequest.contiguous_block(r, BLOCK, PatternPayload(r))
-            for r in range(comm.size)]
+            for r in ranks]
         if mix == "hotspot":
-            seed_reqs.extend(
-                IORequest(r, HOT_BASE + r * _HOT_STRIDE, HOT_SLOT,
-                          PatternPayload(50 + r))
-                for r in range(comm.size))
+            seed_reqs.extend(hot_slot(r, PatternPayload(50 + r))
+                             for r in ranks)
         yield from fh.write_at_all(seed_reqs)
         yield from fh.close()
         yield from fh.sync()
@@ -522,43 +580,19 @@ def run_one(seed: int, hardened: bool = True,
             # Periodic scrubbing across the storm: ticks that land
             # while recovery or flushes are in flight defer.
             system.scrub.start_periodic()
+        # v2 of every rank's block, for the mixes that overwrite it.
+        v2_blocks = [IORequest.contiguous_block(
+            r, BLOCK, PatternPayload(r + comm.size)) for r in ranks]
         if mix == "partition":
             # Overwrite phase in the middle of the storm: every rank
-            # rewrites its block (v2 pattern) while cuts are active.
-            # Quorum admission must either commit a write on a majority
-            # or reject it whole — ``expected`` tracks which, so a
-            # healed ex-owner serving the old pattern after a committed
+            # rewrites its block while cuts are active.  A healed
+            # ex-owner serving the old pattern after a committed
             # overwrite surfaces as silent corruption below.
             yield sim.engine.timeout(0.5 * _STORM_WINDOW)
             fh = yield from sim.open(comm, "/chaos", "w",
                                      fstype="univistor")
-            for r in range(comm.size):
-                try:
-                    yield from fh.write_at_all([IORequest.contiguous_block(
-                        r, BLOCK, PatternPayload(r + comm.size))])
-                except DataLossError as err:
-                    # Quorum unreachable: the honest whole-write
-                    # rejection the invariant allows.
-                    result.writes_lost += 1
-                    result.failure_causes += (_loss_cause("write", r, err),)
-                    continue
-                except Exception as err:  # noqa: BLE001 - the invariant
-                    result.violations.append(
-                        f"rank {r}: overwrite unhandled "
-                        f"{type(err).__name__}: {err}")
-                    continue
-                expected[r] = PatternPayload(r + comm.size).materialize(
-                    0, BLOCK)
-                result.writes_ok += 1
-            try:
-                yield from fh.close()
-                yield from fh.sync()
-            except DataLossError:
-                pass  # flush blocked by the cut; caches still serve
-            except Exception as err:  # noqa: BLE001 - the invariant
-                result.violations.append(
-                    f"overwrite close: unhandled "
-                    f"{type(err).__name__}: {err}")
+            yield from overwrite(fh, v2_blocks, expected, "overwrite ")
+            yield from close(fh, "overwrite ")
             yield sim.engine.timeout(0.5 * _STORM_WINDOW
                                      + _settle_for(cfg))
         elif mix == "hotspot":
@@ -566,38 +600,15 @@ def run_one(seed: int, hardened: bool = True,
             # shared hot range while the storm lands, driving the heat
             # tracker past the split threshold mid-fault.  Quorum
             # admission holds under mitigation exactly as it does under
-            # partitions: a wave write either commits on a majority (and
-            # ``hot_expected`` advances) or is rejected whole.
+            # partitions.
             fh = yield from sim.open(comm, "/chaos", "w",
                                      fstype="univistor")
             for wave in range(1, _HOT_WAVES + 1):
-                for r in range(comm.size):
-                    pattern = PatternPayload(100 + wave * comm.size + r)
-                    try:
-                        yield from fh.write_at_all([IORequest(
-                            r, HOT_BASE + r * _HOT_STRIDE, HOT_SLOT,
-                            pattern)])
-                    except DataLossError as err:
-                        result.writes_lost += 1
-                        result.failure_causes += (
-                            _loss_cause("write", r, err),)
-                        continue
-                    except Exception as err:  # noqa: BLE001 - invariant
-                        result.violations.append(
-                            f"rank {r}: hot overwrite unhandled "
-                            f"{type(err).__name__}: {err}")
-                        continue
-                    hot_expected[r] = pattern.materialize(0, HOT_SLOT)
-                    result.writes_ok += 1
+                yield from overwrite(fh, [
+                    hot_slot(r, PatternPayload(100 + wave * comm.size + r))
+                    for r in ranks], hot_expected, "hot overwrite ")
                 yield sim.engine.timeout(_HOT_WAVE_GAP)
-            try:
-                yield from fh.close()
-                yield from fh.sync()
-            except DataLossError:
-                pass  # flush blocked by the storm; caches still serve
-            except Exception as err:  # noqa: BLE001 - the invariant
-                result.violations.append(
-                    f"hot close: unhandled {type(err).__name__}: {err}")
+            yield from close(fh, "hot ")
             yield sim.engine.timeout(_settle_for(cfg))
         elif mix == "storm2":
             # Overwrite phase BEFORE the crashes, on a healthy cluster,
@@ -611,31 +622,9 @@ def run_one(seed: int, hardened: bool = True,
             # stale v1 replica (the pre-PR silent stale-read gap).
             fh = yield from sim.open(comm, "/chaos", "w",
                                      fstype="univistor")
-            for r in range(comm.size):
-                try:
-                    yield from fh.write_at_all([IORequest.contiguous_block(
-                        r, BLOCK, PatternPayload(r + comm.size))])
-                except DataLossError as err:
-                    result.writes_lost += 1
-                    result.failure_causes += (_loss_cause("write", r, err),)
-                    continue
-                except Exception as err:  # noqa: BLE001 - the invariant
-                    result.violations.append(
-                        f"rank {r}: overwrite unhandled "
-                        f"{type(err).__name__}: {err}")
-                    continue
-                expected[r] = PatternPayload(r + comm.size).materialize(
-                    0, BLOCK)
-                result.writes_ok += 1
+            yield from overwrite(fh, v2_blocks, expected, "overwrite ")
             yield sim.engine.timeout(_STORM_WINDOW + _settle_for(cfg))
-            try:
-                yield from fh.close()
-                yield from fh.sync()
-            except DataLossError:
-                pass  # flush blocked by the storm; replicas still serve
-            except Exception as err:  # noqa: BLE001 - the invariant
-                result.violations.append(
-                    f"storm2 close: unhandled {type(err).__name__}: {err}")
+            yield from close(fh, "storm2 ")
         else:
             yield sim.engine.timeout(_STORM_WINDOW + _SETTLE)
         if system.scrub is not None:
@@ -644,49 +633,13 @@ def run_one(seed: int, hardened: bool = True,
             yield system.scrub.start_scrub()
 
         fh2 = yield from sim.open(comm, "/chaos", "r", fstype="univistor")
-        for r in range(comm.size):
-            try:
-                data = yield from fh2.read_at_all(
-                    [IORequest(r, r * BLOCK, BLOCK)])
-            except DataLossError as err:
-                # Structured loss is the honest failure the invariant
-                # allows.
-                result.reads_lost += 1
-                result.failure_causes += (_loss_cause("read", r, err),)
-                continue
-            except Exception as err:  # noqa: BLE001 - the invariant
-                result.violations.append(
-                    f"rank {r}: unhandled {type(err).__name__}: {err}")
-                continue
-            blob = b"".join(e.materialize() for e in data[r])
-            if blob == expected[r]:
-                result.reads_ok += 1
-            else:
-                result.violations.append(
-                    f"rank {r}: silent corruption "
-                    f"({sum(a != b for a, b in zip(blob, expected[r]))} "
-                    f"wrong bytes)")
-        for r in (range(comm.size) if mix == "hotspot" else ()):
-            try:
-                data = yield from fh2.read_at_all([IORequest(
-                    r, HOT_BASE + r * _HOT_STRIDE, HOT_SLOT)])
-            except DataLossError as err:
-                result.reads_lost += 1
-                result.failure_causes += (_loss_cause("read", r, err),)
-                continue
-            except Exception as err:  # noqa: BLE001 - the invariant
-                result.violations.append(
-                    f"rank {r}: hot read unhandled "
-                    f"{type(err).__name__}: {err}")
-                continue
-            blob = b"".join(e.materialize() for e in data[r])
-            if blob == hot_expected[r]:
-                result.reads_ok += 1
-            else:
-                result.violations.append(
-                    f"rank {r}: hot-slot silent corruption/stale read "
-                    f"({sum(a != b for a, b in zip(blob, hot_expected[r]))}"
-                    f" wrong bytes)")
+        yield from verify(fh2, [IORequest(r, r * BLOCK, BLOCK)
+                                for r in ranks],
+                          expected, "", "silent corruption")
+        if mix == "hotspot":
+            yield from verify(fh2, [hot_slot(r) for r in ranks],
+                              hot_expected, "hot read ",
+                              "hot-slot silent corruption/stale read")
         yield from fh2.close()
 
     try:

@@ -439,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of consecutive seeds to run")
     p.add_argument("--first-seed", type=int, default=0)
     p.add_argument("--baseline", action="store_true",
-                   help="disable detection/takeover/scrubbing (PR 1 "
+                   help="turn the self_healing switch off (no "
+                        "detection, takeover or scrubbing: the PR 1 "
                         "replication-only story) for comparison")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan seeds out over N worker processes "

@@ -118,27 +118,23 @@ class UniviStorConfig:
     #: §V future work — adapt each new file's caching tiers to observed
     #: usage patterns (write-once files skip the scarce DRAM tier).
     adaptive_placement: bool = False
-    #: Heartbeat-based failure detection: server processes gossip
-    #: heartbeats every ``heartbeat_interval`` seconds; a target that
-    #: misses ``suspect_heartbeats`` consecutive beats is marked suspect,
-    #: one that misses ``dead_heartbeats`` is declared dead and the
-    #: recovery actions fire.  Off (the default) keeps the PR 1 behaviour:
-    #: recovery triggers ride directly on the crash event.
-    health_enabled: bool = False
+    #: Self-healing pipeline (docs/MODEL.md §8), one switch for all
+    #: three stages.  *Detection*: server processes gossip heartbeats
+    #: every ``heartbeat_interval`` seconds; a target that misses
+    #: ``suspect_heartbeats`` consecutive beats is marked suspect, one
+    #: that misses ``dead_heartbeats`` is declared dead.  *Takeover*: a
+    #: dead server's offset ranges are reassigned to survivors and
+    #: rebuilt by replaying the write-ahead journal, so lookups route to
+    #: the new owner instead of failing over per read forever.
+    #: *Scrubbing*: background passes checksum-verify cached log chunks
+    #: and replica files, repair rot from the surviving clean copy, and
+    #: re-replicate volatile segments that lost their replica.  Off (the
+    #: default) keeps the PR 1 behaviour: replication and client-side
+    #: failover only, and exhausted flush/replication retries raise.
+    self_healing: bool = False
     heartbeat_interval: float = 0.05
     suspect_heartbeats: int = 2
     dead_heartbeats: int = 4
-    #: Metadata range takeover: when a server is declared dead, every
-    #: offset range that lost a copy with it is reassigned to surviving
-    #: servers and rebuilt by replaying the per-server write-ahead
-    #: journal, so lookups route to the new owner instead of failing over
-    #: per-read forever (and a range whose whole replica set died can
-    #: come back at all).
-    recovery_enabled: bool = False
-    #: Integrity scrubbing: background passes checksum-verify cached log
-    #: chunks and replica files, repair rot from the surviving clean
-    #: copy, and re-replicate volatile segments that lost their replica.
-    scrub_enabled: bool = False
     #: Proactive scrub cadence in seconds: with a positive interval,
     #: :meth:`ScrubService.start_periodic` repeats passes every
     #: ``scrub_interval`` until a full sweep comes back clean.  Ticks that
@@ -192,9 +188,7 @@ class UniviStorConfig:
         kw.setdefault("metadata_replication", 2)
         kw.setdefault("io_retry_limit", 6)
         kw.setdefault("io_backoff_base", 0.02)
-        kw.setdefault("health_enabled", True)
-        kw.setdefault("recovery_enabled", True)
-        kw.setdefault("scrub_enabled", True)
+        kw.setdefault("self_healing", True)
         kw.setdefault("meta_quorum", True)
         return UniviStorConfig(**kw)
 
@@ -289,7 +283,7 @@ class UniviStorConfig:
                  "adaptive_striping", "location_aware_reads",
                  "workflow_enabled", "flush_enabled",
                  "resilience_enabled", "adaptive_placement",
-                 "health_enabled", "recovery_enabled", "scrub_enabled",
+                 "self_healing",
                  "location_cache", "meta_quorum",
                  "bb_quota_enforced", "hotspot_enabled"}
         changes = {}

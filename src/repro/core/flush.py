@@ -144,13 +144,13 @@ class FlushService:
                 yield self.engine.all_of(flows)
             except TransientIOError:
                 # Retry budget exhausted (device brownout outlived the
-                # backoff).  Without recovery the failure propagates (the
-                # PR 1 fail-loud contract); self-healing mode treats the
-                # flush as simply not having happened: leave the flushed
-                # counter alone so the next trigger re-sends, and report
-                # — an unhandled raise in an unobserved background
+                # backoff).  Without self-healing the failure propagates
+                # (the PR 1 fail-loud contract); self-healing mode treats
+                # the flush as simply not having happened: leave the
+                # flushed counter alone so the next trigger re-sends, and
+                # report — an unhandled raise in an unobserved background
                 # process would crash the engine.
-                if not config.recovery_enabled:
+                if not config.self_healing:
                     raise
                 system.telemetry_hook("flush-failed", session.path, pending,
                                       t_start=t_start)

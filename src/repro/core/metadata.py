@@ -354,12 +354,12 @@ class MetadataService:
     def server_of(self, offset: int) -> int:
         """Owning server of ``offset``: range index round-robin (Fig. 3).
 
-        With a split range or an elastic pool the owner is the primary of
-        the member set responsible at ``offset``."""
+        With a split range, an elastic pool or a taken-over range the
+        owner is the primary of the member set responsible at ``offset``."""
         if offset < 0:
             raise ValueError(f"negative offset {offset}")
         range_index = int(offset // self.range_size)
-        if self._splits or self._pool is not None:
+        if self._splits or self._pool is not None or self._range_replicas:
             return self._members_at(range_index, offset)[0]
         return range_index % self.n_servers
 
@@ -562,7 +562,7 @@ class MetadataService:
         end = offset + length
         first = int(offset // self.range_size)
         last = int((end - 1) // self.range_size)
-        if self._splits or self._pool is not None:
+        if self._splits or self._pool is not None or self._range_replicas:
             owners: Set[int] = set()
             for r in range(first, last + 1):
                 if r in self._splits:

@@ -62,11 +62,9 @@ class RecoveryService:
         #: owner mid-takeover, so the next takeover of the same range
         #: resumes from the cursor instead of streaming from scratch.
         self.replay_cursor: Dict[int, int] = {}
-        health = getattr(system, "health", None)
-        if health is not None:
-            health.on_server_dead.append(self.handle_server_dead)
-            health.on_node_dead.append(self.handle_node_dead)
-            health.on_server_fenced.append(self.handle_server_fenced)
+        system.health.on_server_dead.append(self.handle_server_dead)
+        system.health.on_node_dead.append(self.handle_node_dead)
+        system.health.on_server_fenced.append(self.handle_server_fenced)
 
     # -- server death: metadata range takeover ----------------------------
     def handle_server_dead(self, server_id: int) -> None:
@@ -119,9 +117,7 @@ class RecoveryService:
             self.system.mark_data_suspect(ri for ri, _p in actions)
             if self.system.config.resilience_enabled:
                 self.system.rereplicate_pending()
-            scrub = getattr(self.system, "scrub", None)
-            if scrub is not None:
-                scrub.start_scrub()
+            self.system.scrub.start_scrub()
 
     def _replay_cost(self, server_id: int,
                      jobs: List[Tuple[int, int, int]]) -> Generator:
@@ -166,9 +162,7 @@ class RecoveryService:
         system = self.system
         if system.config.resilience_enabled:
             system.rereplicate_pending()
-        scrub = getattr(system, "scrub", None)
-        if scrub is not None:
-            scrub.start_scrub()
+        system.scrub.start_scrub()
 
 
 class ScrubService:
@@ -230,15 +224,11 @@ class ScrubService:
     def _foreground_busy(self) -> bool:
         system = self.system
         for session in system._sessions.values():
-            ev = getattr(session, "flush_event", None)
+            ev = session.flush_event
             if ev is not None and not ev.triggered:
                 return True
-        resilience = getattr(system, "resilience", None)
-        if resilience is not None:
-            for ev in resilience._events.values():
-                if not ev.triggered:
-                    return True
-        return False
+        return any(not ev.triggered
+                   for ev in system.resilience._events.values())
 
     def _periodic_loop(self) -> Generator:
         config = self.system.config

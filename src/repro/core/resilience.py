@@ -150,14 +150,14 @@ class ResilienceService:
                                      tag=f"replicate:{session.path}"),
                     f"replicate:{session.path}")
             except TransientIOError:
-                # Retry budget exhausted mid-brownout.  Without recovery
-                # the failure propagates (sync waiters see it — the PR 1
-                # fail-loud contract).  Self-healing mode contains it
-                # instead: leave the replicated counter alone so the next
-                # scrub pass re-sends these bytes, and report — an
-                # unhandled raise in an unobserved background process
-                # would crash the engine.
-                if not system.config.recovery_enabled:
+                # Retry budget exhausted mid-brownout.  Without
+                # self-healing the failure propagates (sync waiters see
+                # it — the PR 1 fail-loud contract).  Self-healing mode
+                # contains it instead: leave the replicated counter alone
+                # so the next scrub pass re-sends these bytes, and report
+                # — an unhandled raise in an unobserved background
+                # process would crash the engine.
+                if not system.config.self_healing:
                     raise
                 system.telemetry_hook("replicate-failed", session.path,
                                       copy_bytes, t_start=t_start)

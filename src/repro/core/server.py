@@ -177,14 +177,15 @@ class UniviStorServers:
         self.flush_service = FlushService(self)
         self.resilience = ResilienceService(self)
         self.advisor = PlacementAdvisor()
-        # Self-healing services (all off by default; UniviStorConfig
-        # .hardened() turns the full detection -> takeover -> scrub
-        # pipeline on).  Construction order matters: the recovery service
-        # registers its callbacks on the health monitor.
-        self.health = HealthMonitor(self) if config.health_enabled else None
-        self.scrub = ScrubService(self) if config.scrub_enabled else None
-        self.recovery = (RecoveryService(self) if config.recovery_enabled
-                         else None)
+        # Self-healing services: the detection -> takeover -> scrub
+        # pipeline, all present or all None (``config.self_healing``).
+        # Construction order matters: the recovery service registers its
+        # callbacks on the health monitor.
+        self.health = self.scrub = self.recovery = None
+        if config.self_healing:
+            self.health = HealthMonitor(self)
+            self.scrub = ScrubService(self)
+            self.recovery = RecoveryService(self)
         # Adaptive hotspot mitigation (docs/MODEL.md §11): heat-driven
         # online range split/merge, read-hot re-replication, and an
         # elastic metadata server pool.
@@ -314,21 +315,19 @@ class UniviStorServers:
         self.metadata.fail_server(server_id)
         self.telemetry_hook("fault-server-crash", f"server:{server_id}", 0.0)
         # The partition loss above is instantaneous (the data really is
-        # gone); *reacting* to it is not.  With the failure detector the
-        # takeover fires once the server is declared dead; without it,
-        # recovery (when enabled) rides directly on the crash event.
+        # gone); *reacting* to it is not: the takeover fires once the
+        # failure detector declares the server dead.
         if self.health is not None:
             self.health.note_server_crash(server_id)
-        elif self.recovery is not None:
-            self.recovery.handle_server_dead(server_id)
 
     def crash_node(self, node_id: int) -> None:
         """Full node crash: local data, plus every server process it ran.
 
-        Recovery actions ride on the crash: metadata ranges fail over to
-        replicas on surviving nodes, and (with resilience enabled) every
-        session holding unreplicated volatile data gets an immediate
-        re-replication pass so the remaining copies stop being unique.
+        Metadata ranges fail over to replicas on surviving nodes.  With
+        resilience enabled every session holding unreplicated volatile
+        data gets a re-replication pass so the remaining copies stop
+        being unique: immediately, or — with self-healing — once the
+        failure detector declares the node dead (plus a scrub pass).
         """
         if not 0 <= node_id < len(self.machine.nodes):
             raise ValueError(f"no node {node_id}")
@@ -342,8 +341,6 @@ class UniviStorServers:
         self.telemetry_hook("fault-node-crash", f"node:{node_id}", 0.0)
         if self.health is not None:
             self.health.note_node_crash(node_id)
-        elif self.recovery is not None:
-            self.recovery.handle_node_dead(node_id)
         elif self.config.resilience_enabled:
             self.rereplicate_pending()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.chaos import _config, run_campaign, run_one
+from repro.chaos import MIXES, _config, run_campaign, run_one
 
 SMOKE_SEEDS = 20
 
@@ -353,6 +353,46 @@ class TestGoldenDigests:
         11: "d5f5d9b4906f5c60817dea6350b3934a332e667967f5bf0e4df5033ded735d98",
     }
 
+    #: ``(mix, hardened) -> {seed: digest}`` for the other three mixes.
+    MIX_GOLDENS = {
+        ("partition", True): {
+            3: "a2d0e3005af02a0a4aeb128c87f96f3e"
+               "897412e68d7c76b6a908cae59588ee3f",
+            7: "292c448afcdf6ad6964d5c74a6bbb7c9"
+               "df5732238eb8f3eae321e581aeecfbf2",
+        },
+        ("partition", False): {
+            3: "b905b249c8e3249919f85c69d4a3f4e9"
+               "9d2033fd91bd4735560b09282c0e1c45",
+            7: "71191ae67047500b94805dbef81a80e9"
+               "bfa6e0b21d849a74f5c75f403a2d99eb",
+        },
+        ("hotspot", True): {
+            3: "5da2316257cd9995c395b943f212d1fe"
+               "36feab90dfadbf39438060eba09d851a",
+            7: "86e202e87f87a866ca365f93f24a89c3"
+               "76696d75ce0c3d56c705a529dc28c20a",
+        },
+        ("hotspot", False): {
+            3: "388c6e97243ed112a0e5dd6f0d1afcdc"
+               "b9b7e162f9ff5e6f09a4b6ef7728e0ae",
+            7: "815acd918c8d4a4af5bc2ff610dc9fef"
+               "64fe9b04fd01e0c91dd0e79be13f7c82",
+        },
+        ("storm2", True): {
+            3: "80bb5a7dac1295a7a92fcb1e54473abf"
+               "01bf8505d2ef211d5d746bd7a990c9b0",
+            7: "f126a3192ec15950400c1f241efd2e8a"
+               "5a3b6367bdc2e1c732434527ce7d04f3",
+        },
+        ("storm2", False): {
+            3: "f59c3bb76991afa379b2423018d91910"
+               "20130d60c337081065fcfbe98aad81df",
+            7: "2ec9e9c10936eac18959c460a26a3737"
+               "b21d1c5a88a792ebfe2cd3d71ff8d5e7",
+        },
+    }
+
     @staticmethod
     def _storm_dq1(seed, hardened):
         config = replace(_config(hardened, "storm"), data_quorum=1)
@@ -370,3 +410,21 @@ class TestGoldenDigests:
         for seed, want in self.STORM_DQ2.items():
             got = run_one(seed, hardened=True, mix="storm").digest
             assert got == want, f"seed {seed}: {got}"
+
+    def test_mix_goldens(self):
+        for (mix, hardened), pins in self.MIX_GOLDENS.items():
+            for seed, want in pins.items():
+                got = run_one(seed, hardened=hardened, mix=mix).digest
+                assert got == want, f"{mix} hardened={hardened} " \
+                                    f"seed {seed}: {got}"
+
+
+class TestSelfHealingSwitch:
+    """Baseline is exactly the hardened deployment with the one
+    self-healing switch off."""
+
+    def test_baseline_is_hardened_minus_self_healing(self):
+        for mix in MIXES:
+            assert _config(False, mix) == replace(_config(True, mix),
+                                                  self_healing=False)
+            assert _config(True, mix).self_healing

@@ -42,6 +42,12 @@ class TestUniviStorConfig:
         assert not config.adaptive_striping
         assert config.collective_open_close  # untouched
 
+    def test_hardened_turns_self_healing_on(self):
+        assert not UniviStorConfig().self_healing
+        assert UniviStorConfig.hardened().self_healing
+        assert not UniviStorConfig.hardened().without(
+            "self_healing").self_healing
+
     def test_without_unknown_flag(self):
         with pytest.raises(ValueError):
             UniviStorConfig().without("warp_drive")

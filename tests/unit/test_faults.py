@@ -621,7 +621,7 @@ class TestPartitionInjection:
 
     def _system(self, **config_kw):
         sim, comm = setup(nodes=3, metadata_replication=2,
-                          health_enabled=True, recovery_enabled=True,
+                          self_healing=True,
                           **config_kw)
         return sim, comm, sim.univistor
 
@@ -704,7 +704,7 @@ class TestRandomPartitions:
 
     def _system(self, **config_kw):
         sim, comm = setup(nodes=3, metadata_replication=2,
-                          health_enabled=True, recovery_enabled=True,
+                          self_healing=True,
                           **config_kw)
         return sim, comm, sim.univistor
 

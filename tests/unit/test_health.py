@@ -179,14 +179,23 @@ class TestRangeTakeover:
 
     def test_without_recovery_failover_still_works(self):
         sim, system, comm = setup(metadata_range_size=float(64 * KiB),
-                                  health_enabled=False,
-                                  recovery_enabled=False,
-                                  scrub_enabled=False)
+                                  self_healing=False)
         write_blocks(sim, comm, "/f")
         system.crash_server(0)
         data = read_all(sim, comm, "/f")
         assert_correct(comm, data)
         assert "metadata-failover" in telemetry_ops(sim)
+        # No takeover without the switch: the crash alone never
+        # rewrites ownership.
+        assert system.metadata.replica_servers(0)[0] == 0
+        assert "recovery-takeover" not in telemetry_ops(sim)
+
+    def test_switch_builds_all_three_services_or_none(self):
+        _sim, system, _comm = setup()
+        assert None not in (system.health, system.recovery, system.scrub)
+        _sim, system, _comm = setup(self_healing=False)
+        assert (system.health, system.recovery, system.scrub) == (
+            None, None, None)
 
 
 class TestScrub:

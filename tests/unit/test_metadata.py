@@ -41,6 +41,23 @@ class TestPartitioning:
         svc = MetadataService(n_servers=4, range_size=100)
         assert svc.servers_for_range(10, 0) == set()
 
+    def test_owner_follows_takeover(self):
+        """After a takeover rewrites range 0's replica set, the owner
+        queries name the new primary that ``lookup`` routes to, not the
+        dead round-robin one."""
+        svc = MetadataService(4, 100, replication=2)
+        svc.insert_many([rec(off, 100) for off in range(0, 400, 100)])
+        svc.fail_server(0)
+        svc.recover_server(0)
+        assert svc.replica_servers(0) == [1, 2]
+        _found, touched = svc.lookup(1, 0, 100)
+        assert touched == {1}
+        assert svc.server_of(0) == 1
+        assert svc.servers_for_range(0, 100) == {1}
+        # Untouched ranges keep their round-robin owners.
+        assert svc.server_of(100) == 1
+        assert svc.servers_for_range(100, 300) == {1, 2, 3}
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             MetadataService(0, 100)

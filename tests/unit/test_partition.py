@@ -344,8 +344,8 @@ class TestPfsNamespaceFallback:
     def test_flushed_file_survives_total_metadata_loss(self):
         sim, system, comm = setup(flush_enabled=True)
         cfg_off = UniviStorConfig.hardened(
-            flush_enabled=True, metadata_range_size=float(BLOCK)).without(
-                "health_enabled", "recovery_enabled")
+            flush_enabled=True, metadata_range_size=float(BLOCK),
+            self_healing=False)
         sim2 = Simulation(MachineSpec.small_test(nodes=3))
         system2 = sim2.install_univistor(cfg_off)
         comm2 = sim2.comm("app", comm.size, procs_per_node=2)
@@ -360,8 +360,8 @@ class TestPfsNamespaceFallback:
     def test_unflushed_file_still_raises_structured_loss(self):
         sim, system, comm = setup(flush_enabled=False)
         cfg_off = UniviStorConfig.hardened(
-            flush_enabled=False, metadata_range_size=float(BLOCK)).without(
-                "health_enabled", "recovery_enabled")
+            flush_enabled=False, metadata_range_size=float(BLOCK),
+            self_healing=False)
         sim2 = Simulation(MachineSpec.small_test(nodes=3))
         system2 = sim2.install_univistor(cfg_off)
         comm2 = sim2.comm("app", comm.size, procs_per_node=2)
