@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Generator
 
 from repro.core.config import StorageTier
+from repro.core.metadata import record_runs
 from repro.core.striping import adaptive_plan, default_plan
 from repro.sim.engine import Event
 from repro.storage.device import TransientIOError
@@ -185,34 +186,36 @@ class FlushService:
         return out
 
     def _materialise_to_pfs(self, session) -> None:
-        """Copy the logical file content onto the PFS namespace.
+        """Copy the logical file content onto the PFS namespace, one
+        record run at a time (:meth:`ReadService.copy_runs`).
 
-        Records whose only copy died with a node cannot be materialised:
-        the flush skips them (the PFS copy gets an honest hole there) and
-        surfaces the loss through telemetry instead of crashing the
-        background flush process.
+        Records with no clean surviving copy cannot be materialised: the
+        flush skips them and surfaces the loss through ``flush-lost``
+        telemetry instead of crashing the background flush process.  A
+        skipped span is not a hole: ``pfs.create`` returns the existing
+        file on a re-flush, so the span keeps the previous flush's bytes.
+        What makes that safe is the version map — the span keeps its old
+        ``pfs_versions`` stamp, so the degraded read ladder refuses it
+        (docs/MODEL.md §12).
         """
-        from repro.core.resilience import DataLossError
-        system = self.system
         pfs = self.machine.pfs_files
         out = pfs.create(session.path)
-        read_service = system.read_service
+        authority = session.data_versions
+        pfs_versions = session.pfs_versions
+        runs = record_runs(self.system.metadata.records_of(session.fid))
         lost_bytes = 0.0
-        for record in system.metadata.records_of(session.fid):
-            try:
-                extents = read_service.resolve(session, record)
-            except DataLossError:
-                lost_bytes += record.length
+        for run, extents in self.system.read_service.copy_runs(session,
+                                                               runs):
+            if extents is None:
+                lost_bytes += run[0].length
                 continue
             for extent in extents:
                 out.write_at(extent.offset, extent.length, extent.payload,
                              extent.payload_offset)
-            # The PFS copy now reflects the authority over this record's
-            # span (version-ordered degraded reads, docs/MODEL.md §12).
-            # Skipped (lost) records keep their old stamp, so the read
-            # ladder knows the hole — the flushed-bytes counter alone
-            # cannot say which spans actually materialised.
-            session.pfs_versions.copy_from(session.data_versions,
-                                           record.offset, record.length)
+            # The PFS copy now reflects the authority over the run's
+            # span: one splice, span-identical to per-record stamping.
+            pfs_versions.copy_from_cuts(
+                authority, [r.offset for r in run] + [run[-1].end])
         if lost_bytes > 0:
-            system.telemetry_hook("flush-lost", session.path, lost_bytes)
+            self.system.telemetry_hook("flush-lost", session.path,
+                                       lost_bytes)

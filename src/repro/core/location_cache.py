@@ -101,12 +101,10 @@ class LocationCache:
         files = self._files
         range_size = self.range_size
         for record in records:
-            store = files.get(record.fid)
-            if store is None:
+            if record.fid not in files:
                 continue
-            wrapped = {record.fid: store}
             for piece in split_record(record, range_size):
-                apply_insert(wrapped, piece, range_size)
+                apply_insert(files, piece, range_size)
 
     # -- lookup ------------------------------------------------------------
     def lookup(self, fid: int, offset: int,

@@ -63,14 +63,15 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.core.config import StorageTier
 from repro.core.errors import DataLossError, QuorumLostError
 
 __all__ = ["MetadataRecord", "MetadataService", "MetadataUnavailableError",
            "QuorumLostError", "coalesce_records", "split_record",
-           "apply_insert"]
+           "record_runs", "apply_insert"]
 
 
 class MetadataUnavailableError(DataLossError):
@@ -128,14 +129,41 @@ def coalesce_records(
 
 
 def split_record(record: "MetadataRecord",
-                 range_size: float) -> Iterable["MetadataRecord"]:
-    """Split a record at range boundaries so each piece has one owner."""
+                 range_size: float) -> Sequence["MetadataRecord"]:
+    """Split a record at range boundaries so each piece has one owner.
+
+    A record already inside one range — every piece of an aligned
+    collective write — comes back unchanged, not copied.
+    """
     start = record.offset
-    while start < record.end:
-        boundary = (int(start // range_size) + 1) * range_size
-        end = min(record.end, int(boundary))
-        yield record.slice(start, end)
-        start = end
+    end = start + record.length
+    if int(start // range_size) == int((end - 1) // range_size):
+        return (record,)
+    pieces = []
+    while start < end:
+        boundary = int((int(start // range_size) + 1) * range_size)
+        cut = min(end, boundary)
+        pieces.append(record.slice(start, cut))
+        start = cut
+    return pieces
+
+
+def record_runs(records: Iterable["MetadataRecord"]
+                ) -> List[List["MetadataRecord"]]:
+    """Group offset-sorted records into maximal **record runs**: each
+    record of a run is the byte-exact continuation of the one before
+    (the :func:`_mergeable` rule — same writer, tier and node, offsets
+    and VAs both contiguous), so a run reads as one window of one log.
+    Range boundaries do not cut runs; any other break does."""
+    runs: List[List[MetadataRecord]] = []
+    run: List[MetadataRecord] = []
+    for rec in records:
+        if run and _mergeable(run[-1], rec):
+            run.append(rec)
+        else:
+            run = [rec]
+            runs.append(run)
+    return runs
 
 
 def apply_insert(store: Dict[int, Tuple[List[int], List["MetadataRecord"]]],
@@ -149,7 +177,31 @@ def apply_insert(store: Dict[int, Tuple[List[int], List["MetadataRecord"]]],
     :class:`~repro.core.location_cache.LocationCache`, so both views hold
     byte-identical record lists by construction.
     """
-    starts, recs = store.setdefault(piece.fid, ([], []))
+    entry = store.get(piece.fid)
+    if entry is None:
+        entry = store[piece.fid] = ([], [])
+    starts, recs = entry
+    if recs and piece.offset < recs[-1].end:
+        _splice_insert(starts, recs, piece, range_size)
+        return
+    # Tail append (the in-order case of every collective write): nothing
+    # to trim, and the only seam the insert creates is with the last
+    # record — the same in-range merge rule as the splice path.
+    if recs:
+        prev = recs[-1]
+        if (_mergeable(prev, piece)
+                and int(prev.offset // range_size)
+                == int((piece.end - 1) // range_size)):
+            recs[-1] = _merge(prev, piece)
+            return
+    recs.append(piece)
+    starts.append(piece.offset)
+
+
+def _splice_insert(starts: List[int], recs: List["MetadataRecord"],
+                   piece: "MetadataRecord", range_size: float) -> None:
+    """:func:`apply_insert`'s general path: bisect to the overlapped
+    window, splice the piece in, merge the seams around it."""
     lo = bisect.bisect_left(starts, piece.offset)
     if lo > 0 and recs[lo - 1].end > piece.offset:
         lo -= 1

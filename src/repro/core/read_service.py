@@ -21,11 +21,13 @@ round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List
+from typing import (Dict, Generator, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.core.config import StorageTier
+from repro.core.errors import DataLossError
 from repro.core.metadata import (MetadataRecord, MetadataUnavailableError,
-                                 QuorumLostError)
+                                 QuorumLostError, record_runs)
 from repro.simmpi.comm import Communicator
 from repro.simmpi.mpiio import IORequest
 from repro.storage.datamodel import CorruptPayload, Extent, ZeroPayload
@@ -106,6 +108,68 @@ class ReadService:
         return [Extent(int(p.offset + rebase), p.length, p.payload,
                        p.payload_offset) for p in pieces]
 
+    def _run_extents(self, session, run: Sequence[MetadataRecord]
+                     ) -> Optional[List[Extent]]:
+        """Logical extents of a clean record run from one ``vas.resolve``
+        and one log ``read_at``, or None when the run needs the
+        per-record path: its node has failed, it would leave its first
+        record's layer, or any piece read back corrupt.  Emits no
+        telemetry — the per-record path reports exactly as before."""
+        first = run[0]
+        if (first.node_id in self.system.failed_nodes
+                and first.tier.is_node_local):
+            return None
+        writer = session.writers.get(first.proc_id)
+        if writer is None:
+            return None
+        vas = writer.vas
+        layer, addr = vas.resolve(first.va)
+        length = run[-1].end - first.offset
+        if addr + length > vas.capacities[layer]:
+            return None
+        pieces = writer.logs[layer].sim_file.read_at(int(addr), int(length))
+        for p in pieces:
+            if isinstance(p.payload, CorruptPayload):
+                return None
+        rebase = first.offset - addr
+        return [Extent(int(p.offset + rebase), p.length, p.payload,
+                       p.payload_offset) for p in pieces]
+
+    def resolve_run(self, session, run: Sequence[MetadataRecord]
+                    ) -> List[Extent]:
+        """Materialise a record run (:func:`~repro.core.metadata.
+        record_runs`) into logical-offset extents: the same bytes as
+        concatenating :meth:`resolve` over its records, in one log read
+        when the run is clean, else through :meth:`resolve` record by
+        record (degraded reads, ``read-corrupt`` telemetry and
+        :class:`DataLossError` exactly as per record)."""
+        extents = self._run_extents(session, run)
+        if extents is None:
+            extents = []
+            for record in run:
+                extents.extend(self.resolve(session, record))
+        return extents
+
+    def copy_runs(self, session, runs: Iterable[Sequence[MetadataRecord]]
+                  ) -> Iterator[Tuple[Sequence[MetadataRecord],
+                                      Optional[List[Extent]]]]:
+        """The copy passes' (flush, replication) view of
+        :meth:`resolve_run`: ``(records, extents)`` per clean run, and
+        per record of any other run, with ``extents`` None for a record
+        that has no clean copy — a lost record splits its run, and its
+        neighbours still copy."""
+        for run in runs:
+            extents = self._run_extents(session, run)
+            if extents is not None:
+                yield run, extents
+                continue
+            for record in run:
+                try:
+                    extents = self.resolve(session, record)
+                except DataLossError:
+                    extents = None
+                yield (record,), extents
+
     def resolve_degraded(self, session, record: MetadataRecord
                          ) -> List[Extent]:
         """Clean logical extents for a record whose primary copy is
@@ -114,7 +178,6 @@ class ReadService:
         :class:`DataLossError` when no clean copy survives.  The
         scrubber uses the same chain as its repair source.
         """
-        from repro.core.resilience import DataLossError
         system = self.system
         stale_notes: list = []
         if system.config.resilience_enabled:
@@ -200,12 +263,12 @@ class ReadService:
         breakdown = ReadBreakdown()
         results: Dict[int, List[Extent]] = {}
         # keyed (node_id, tier): DRAM and local-SSD hits use their device.
-        local_bytes_by_node: Dict[tuple, float] = {}
-        remote_bytes_by_source: Dict[int, float] = {}
+        local_bytes_by_node: Dict[Tuple[int, StorageTier], float] = {}
+        remote_bytes_by_source: Dict[Tuple[int, StorageTier], float] = {}
 
         failed_nodes = self.system.failed_nodes
         lookups_per_server = breakdown.lookups_per_server
-        resolve = self.resolve
+        resolve_run = self.resolve_run
         for req in requests:
             if req.length == 0:
                 results[req.rank] = []
@@ -251,37 +314,41 @@ class ReadService:
                     f"touches {req.length - covered} unwritten bytes")
             extents: List[Extent] = []
             reader_node = comm.node_of_rank(req.rank)
-            for record in records:
-                extents.extend(resolve(session, record))
+            # One resolve and one accounting step per record run: a
+            # run's records share writer, tier and node, so they land in
+            # the same byte category.
+            for run in record_runs(records):
+                extents.extend(resolve_run(session, run))
+                record = run[0]
+                nbytes = run[-1].end - record.offset
                 if (record.node_id in failed_nodes
                         and record.tier.is_node_local):
                     # Fail-over: served from the BB replica.
-                    breakdown.bb_bytes += record.length
+                    breakdown.bb_bytes += nbytes
                     breakdown.bb_ranks.add(req.rank)
                 elif record.tier.is_node_local:
                     if record.node_id == reader_node.node_id:
                         key = (reader_node.node_id, record.tier)
-                        breakdown.local_bytes += record.length
+                        breakdown.local_bytes += nbytes
                         if req.rank not in breakdown.local_ranks:
                             breakdown.local_ranks.add(req.rank)
                             breakdown.local_ranks_by_node[key] = (
                                 breakdown.local_ranks_by_node.get(key, 0)
                                 + 1)
                         local_bytes_by_node[key] = (
-                            local_bytes_by_node.get(key, 0.0)
-                            + record.length)
+                            local_bytes_by_node.get(key, 0.0) + nbytes)
                     else:
                         rkey = (record.node_id, record.tier)
-                        breakdown.remote_bytes += record.length
+                        breakdown.remote_bytes += nbytes
                         breakdown.remote_ranks.add(req.rank)
                         remote_bytes_by_source[rkey] = (
                             remote_bytes_by_source.get(rkey, 0.0)
-                            + record.length)
+                            + nbytes)
                 elif record.tier is StorageTier.SHARED_BB:
-                    breakdown.bb_bytes += record.length
+                    breakdown.bb_bytes += nbytes
                     breakdown.bb_ranks.add(req.rank)
                 else:
-                    breakdown.pfs_bytes += record.length
+                    breakdown.pfs_bytes += nbytes
                     breakdown.pfs_ranks.add(req.rank)
             extents.sort(key=lambda e: e.offset)
             results[req.rank] = extents
@@ -295,8 +362,10 @@ class ReadService:
     # -- timing ------------------------------------------------------------
     def _execute_flows(self, session, comm: Communicator,
                        breakdown: ReadBreakdown,
-                       local_bytes_by_node: Dict[int, float],
-                       remote_bytes_by_source: Dict[int, float],
+                       local_bytes_by_node: Dict[Tuple[int, StorageTier],
+                                                 float],
+                       remote_bytes_by_source: Dict[Tuple[int, StorageTier],
+                                                    float],
                        program: str, location_aware: bool) -> Generator:
         machine = self.machine
         net = machine.network

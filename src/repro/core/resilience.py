@@ -24,7 +24,7 @@ from typing import Dict, Generator, List
 
 from repro.core.config import StorageTier
 from repro.core.errors import DataLossError
-from repro.core.metadata import MetadataRecord
+from repro.core.metadata import MetadataRecord, record_runs
 from repro.sim.engine import Event
 from repro.storage.datamodel import CorruptPayload, Extent, ZeroPayload
 from repro.storage.device import TransientIOError
@@ -111,29 +111,36 @@ class ResilienceService:
         # fail-over reads need no VA translation.  Records whose source
         # node already died mid-session are unrecoverable here — skip
         # them (they would raise) and surface the loss via telemetry.
-        read_service = system.read_service
         lost_bytes = 0.0
-        for record in self._volatile_records(session):
-            if self.is_lost(record):
-                lost_bytes += record.length
-                continue
-            replica = self.replica_file(session, record.proc_id)
-            try:
-                extents = read_service.resolve(session, record)
-            except DataLossError:
+        live_runs = []
+        for run in record_runs(self._volatile_records(session)):
+            if self.is_lost(run[0]):
+                # A run shares one node: it died whole.
+                lost_bytes += run[-1].end - run[0].offset
+            else:
+                # The replica log exists before its source is read, even
+                # if the read then finds no clean copy.
+                self.replica_file(session, run[0].proc_id)
+                live_runs.append(run)
+        authority = session.data_versions
+        for run, extents in system.read_service.copy_runs(session,
+                                                          live_runs):
+            if extents is None:
                 # Source rotted (corruption) with no clean copy anywhere:
                 # nothing usable to replicate.  Surface, don't crash the
                 # background pass.
-                lost_bytes += record.length
+                lost_bytes += run[0].length
                 continue
+            proc_id = run[0].proc_id
+            replica = self.replica_file(session, proc_id)
             for extent in extents:
                 replica.write_at(extent.offset, extent.length,
                                  extent.payload, extent.payload_offset)
-            # The replica now reflects the authority over this record's
-            # span — stamp it so the version-ordered degraded read chain
+            # The replica now reflects the authority over the run's span
+            # — stamp it so the version-ordered degraded read chain
             # (docs/MODEL.md §12) knows this copy is current.
-            session.replica_map(record.proc_id).copy_from(
-                session.data_versions, record.offset, record.length)
+            session.replica_map(proc_id).copy_from_cuts(
+                authority, [r.offset for r in run] + [run[-1].end])
         if lost_bytes > 0:
             system.telemetry_hook("replicate-lost", session.path,
                                   lost_bytes, t_start=t_start)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 _START = itemgetter(0)
 _END = itemgetter(1)
@@ -77,6 +77,13 @@ class VersionMap:
         if length <= 0:
             return
         start, end = int(offset), int(offset + length)
+        self._splice(start, end, [[start, end, version, epoch]])
+
+    def _splice(self, start: int, end: int,
+                middle: List[List[int]]) -> None:
+        """Replace the window [start, end) with ``middle`` (sorted,
+        disjoint spans inside the window), trimming the spans that
+        straddle its edges."""
         spans = self._spans
         # Splice only the overlapped window (spans are sorted and
         # disjoint, so ends are sorted too): sessions accumulate one
@@ -84,15 +91,13 @@ class VersionMap:
         # a 1024-rank collective quadratic.
         i = bisect_right(spans, start, key=_END)   # first span ending past start
         j = bisect_left(spans, end, key=_START, lo=i)  # first span at/after end
-        replacement: List[List[int]] = []
         if i < j and spans[i][0] < start:
             s, _e, v, ep = spans[i]
-            replacement.append([s, start, v, ep])
-        replacement.append([start, end, version, epoch])
+            middle.insert(0, [s, start, v, ep])
         if i < j and spans[j - 1][1] > end:
             _s, e, v, ep = spans[j - 1]
-            replacement.append([end, e, v, ep])
-        spans[i:j] = replacement
+            middle.append([end, e, v, ep])
+        spans[i:j] = middle
 
     def spans(self, offset: int, length: int
               ) -> List[Tuple[int, int, int, int]]:
@@ -118,6 +123,37 @@ class VersionMap:
         materialisation, scrub repair)."""
         for s, e, v, ep in authority.spans(offset, length):
             self.stamp(s, e - s, v, ep)
+
+    def copy_from_cuts(self, authority: "VersionMap",
+                       cuts: Sequence[int]) -> None:
+        """:meth:`copy_from` over each window ``[cuts[k], cuts[k+1])``
+        of a contiguous record run (``cuts`` strictly increasing), in one
+        splice.  The spans left are exactly those of the per-window
+        calls: the authority's spans cut at every window edge.  A gap in
+        the authority keeps the copy's old spans there, so it takes the
+        per-window path."""
+        cuts = [int(c) for c in cuts]
+        start, end = cuts[0], cuts[-1]
+        auth = authority.spans(start, end - start)
+        cursor = start
+        for s, e, _v, _ep in auth:
+            if s != cursor:
+                break
+            cursor = e
+        if cursor != end:
+            for lo, hi in zip(cuts, cuts[1:]):
+                self.copy_from(authority, lo, hi - lo)
+            return
+        middle: List[List[int]] = []
+        k = 1
+        for s, e, v, ep in auth:
+            while s < e:
+                while cuts[k] <= s:
+                    k += 1
+                cut = min(e, cuts[k])
+                middle.append([s, cut, v, ep])
+                s = cut
+        self._splice(start, end, middle)
 
     def stale_spans(self, authority: "VersionMap", offset: int,
                     length: int) -> List[StaleSpan]:

@@ -37,6 +37,11 @@ __all__ = [
 class Payload:
     """Abstract content source addressed by a non-negative byte offset."""
 
+    # Empty slots here let the slotted payload dataclasses below drop
+    # their per-instance ``__dict__`` (a base without ``__slots__``
+    # would give every instance one anyway).
+    __slots__ = ()
+
     def materialize(self, start: int, length: int) -> bytes:
         """Return the literal bytes of ``[start, start + length)``."""
         raise NotImplementedError
@@ -49,7 +54,7 @@ class Payload:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BytesPayload(Payload):
     """Literal byte content (small data: metadata regions, test payloads)."""
 
@@ -101,7 +106,7 @@ def _check_stream_id(kind: str, name: str, value) -> None:
             f"{kind} {name} must be a non-negative int, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternPayload(Payload):
     """A deterministic infinite byte stream identified by ``seed``.
 
@@ -136,7 +141,7 @@ class PatternPayload(Payload):
         return f"pattern[{self.seed}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorruptPayload(Payload):
     """Bit-rotted content: bytes whose stored checksum no longer matches.
 
@@ -195,7 +200,7 @@ class ZeroPayload(Payload):
         return "zeros"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extent:
     """``length`` bytes at file ``offset`` drawn from ``payload`` at
     ``payload_offset``."""

@@ -13,7 +13,10 @@ Two layers of protection:
   cap-heavy Lustre-direct run), captured from the **pre-optimization**
   code at commit 06ecc15.  If an "optimization" perturbs float
   arithmetic or event ordering anywhere in the stack, the digest moves
-  and this fails.
+  and this fails.  A fourth scenario, a scaled-down VPIC + BD-CATS
+  overlap that spills DRAM -> BB and flushes every step, additionally
+  pins the flushed PFS extents and their version stamps (captured
+  before the set-at-a-time collective data path).
 * *run-to-run repeatability* — each scenario run twice from scratch must
   produce the identical sequence object-by-object.
 
@@ -29,6 +32,8 @@ from repro.experiments.common import build_simulation
 from repro.sim.faults import FaultSpec
 from repro.units import MiB
 from repro.workloads import MicroBench
+from repro.workloads.bdcats import BdCatsIO
+from repro.workloads.vpic import VpicIO
 
 #: The faulted scenario's ``--fault-spec`` string (CLI mini-language):
 #: an explicit server crash survivable under replication=2, a transient
@@ -49,6 +54,16 @@ GOLDEN_FAULTED = (
 GOLDEN_LUSTRE = (
     "4.865715489523809", 6,
     "2d49122c1985a940238551a033b3e9029c1d02c90ab7e448dd5e3359687dc3e5")
+GOLDEN_WORKFLOW = (
+    "68.15587776257378", 88,
+    "6acbd7bd16e0db37e90f1a34fbd3cb9cb0ce88294dc467798cd34b909dd57b18")
+# The workflow scenario's functional end state, captured before the
+# set-at-a-time data path: (sha256 of every flushed PFS file's
+# normalised extents, sha256 of every step session's ``pfs_versions``
+# spans).
+GOLDEN_WORKFLOW_STATE = (
+    "c7c793b59337132607d0b2b74ee94da2e70ede2680507d3855a15f08b1f9ca5f",
+    "c27b8fdf21aaa2314930cdb2bd938d7dd89101b93a5155decbb07b9425e79ac0")
 
 
 def _record_tuples(sim):
@@ -112,10 +127,59 @@ def run_lustre():
     return sim
 
 
+#: Workflow scenario size: 160 MiB per rank and property fills each
+#: writer's 3 GiB DRAM log part-way through the last step.
+WORKFLOW_PROCS = 64
+WORKFLOW_STEPS = 3
+WORKFLOW_PARTICLES = 40 * 2 ** 20
+
+
+def run_workflow():
+    """Scaled-down Fig. 9 overlap: 32 VPIC-IO writers beside 32
+    BD-CATS-IO readers on UniviStor/(DRAM+BB) under workflow locks.
+    The last step spills DRAM -> shared BB mid-way, every step file is
+    flushed, and each rank's 160 MiB block straddles the 64 MiB
+    metadata ranges — the flush materialisation path under spill."""
+    cfg = UniviStorConfig.dram_bb(workflow_enabled=True)
+    sim, fstype = build_simulation(WORKFLOW_PROCS, "UniviStor/(DRAM+BB)",
+                                   config=cfg)
+    writers = sim.comm("vpic", size=WORKFLOW_PROCS // 2, procs_per_node=16)
+    readers = sim.comm("bdcats", size=WORKFLOW_PROCS // 2,
+                       procs_per_node=16)
+    vpic = VpicIO(sim, writers, fstype, steps=WORKFLOW_STEPS,
+                  compute_seconds=0.0,
+                  particles_per_proc=WORKFLOW_PARTICLES)
+    bdcats = BdCatsIO(sim, readers, vpic, fstype)
+    writer = sim.spawn(vpic.run(sync_last=True), name="vpic")
+    reader = sim.spawn(bdcats.run(verify_sample=True), name="bdcats")
+    sim.run()
+    assert writer.ok and reader.ok
+    return sim
+
+
+def _workflow_state(sim):
+    """``(pfs digest, versions digest)`` of a finished workflow run."""
+    pfs = hashlib.sha256()
+    for f in sorted(sim.machine.pfs_files, key=lambda f: f.path):
+        pfs.update(f.path.encode())
+        for e in f.data:
+            pfs.update(repr((e.offset, e.length, e.payload.describe(),
+                             e.payload_offset)).encode())
+    versions = hashlib.sha256()
+    for step in range(WORKFLOW_STEPS):
+        path = f"/pfs/vpic_step{step}.h5"
+        session = sim.univistor.session(path, create=False)
+        versions.update(path.encode())
+        versions.update(repr(session.pfs_versions.spans(
+            0, int(session.bytes_written))).encode())
+    return pfs.hexdigest(), versions.hexdigest()
+
+
 SCENARIOS = {
     "micro": (run_micro, GOLDEN_MICRO),
     "faulted": (run_faulted, GOLDEN_FAULTED),
     "lustre": (run_lustre, GOLDEN_LUSTRE),
+    "workflow": (run_workflow, GOLDEN_WORKFLOW),
 }
 
 
@@ -138,6 +202,14 @@ class TestGoldenDigests:
 
     def test_lustre_capped_path(self):
         self._check("lustre")
+
+    def test_workflow_spill_flush(self):
+        self._check("workflow")
+
+    def test_workflow_flushed_state(self):
+        """Flush materialisation under spill: the PFS copies and their
+        version stamps, not only the timing, are pinned."""
+        assert _workflow_state(run_workflow()) == GOLDEN_WORKFLOW_STATE
 
 
 class TestRunToRunDeterminism:
@@ -162,3 +234,7 @@ if __name__ == "__main__":  # golden regeneration helper
         tuples = _record_tuples(sim)
         print(f"GOLDEN_{name.upper()} = (\n    {repr(sim.now)!r}, "
               f"{len(tuples)},\n    {_digest(tuples)!r})")
+        if name == "workflow":
+            pfs_digest, versions_digest = _workflow_state(sim)
+            print(f"GOLDEN_WORKFLOW_STATE = (\n    {pfs_digest!r},\n"
+                  f"    {versions_digest!r})")

@@ -11,6 +11,8 @@ flushed PFS copy.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     IORequest,
@@ -128,6 +130,41 @@ class TestVersionMap:
         authority.stamp(0, 100, 1)
         copy.stamp(0, 100, 5)            # scrub repaired past a re-stamp
         assert copy.stale_spans(authority, 0, 100) == []
+
+    _stamps = st.lists(st.tuples(st.integers(0, 120), st.integers(1, 60),
+                                 st.integers(1, 9), st.integers(0, 3)),
+                       max_size=8)
+
+    @given(_stamps, _stamps, st.integers(0, 100),
+           st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_run_stamp_equals_per_record_copy_from(self, auth_stamps,
+                                                   copy_stamps, start,
+                                                   lengths):
+        """The run-level stamp leaves exactly the spans the per-record
+        ``copy_from`` calls leave — authority gaps included."""
+        authority, per_record, per_run = (VersionMap(), VersionMap(),
+                                          VersionMap())
+        for off, n, v, ep in auth_stamps:
+            authority.stamp(off, n, v, ep)
+        for off, n, v, ep in copy_stamps:
+            per_record.stamp(off, n, v, ep)
+            per_run.stamp(off, n, v, ep)
+        cuts = [start]
+        for n in lengths:
+            cuts.append(cuts[-1] + n)
+        for lo, hi in zip(cuts, cuts[1:]):
+            per_record.copy_from(authority, lo, hi - lo)
+        per_run.copy_from_cuts(authority, cuts)
+        assert per_run._spans == per_record._spans
+
+    def test_run_stamp_cuts_at_every_record_edge(self):
+        authority, copy = VersionMap(), VersionMap()
+        authority.stamp(0, 300, 1)
+        copy.stamp(0, 400, 7)
+        copy.copy_from_cuts(authority, [50, 100, 250])
+        assert copy.spans(0, 400) == [(0, 50, 7, 0), (50, 100, 1, 0),
+                                      (100, 250, 1, 0), (250, 400, 7, 0)]
 
 
 class TestConfigValidation:

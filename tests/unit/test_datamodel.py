@@ -1,6 +1,7 @@
 """Unit + property tests for extent maps and payloads."""
 
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -156,6 +157,24 @@ class TestExtent:
             Extent(-1, 5, ZeroPayload())
         with pytest.raises(ValueError):
             Extent(0, 0, ZeroPayload())
+
+    @pytest.mark.parametrize("value", [
+        Extent(10, 5, PatternPayload(3), payload_offset=7),
+        Extent(0, 4, BytesPayload(b"abcd")),
+        Extent(4, 8, CorruptPayload(11), payload_offset=2),
+        PatternPayload(2 ** 40),
+        BytesPayload(b"xyz"),
+        CorruptPayload(5),
+    ])
+    def test_slotted_and_pickle_round_trip(self, value):
+        # Slots keep the per-instance dict out of the resident set; the
+        # chaos campaign's worker pool pickles extents and payloads.
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_zero_payload_pickles_to_the_singleton(self):
+        extent = pickle.loads(pickle.dumps(Extent(0, 3, ZeroPayload())))
+        assert extent.payload is ZeroPayload()
 
     def test_abuts(self):
         a = Extent(0, 10, PatternPayload(1), 0)

@@ -119,6 +119,72 @@ class TestFlushContent:
             assert (pfs.read_bytes(r * block, block)
                     == PatternPayload(r).materialize(0, block))
 
+    def test_lost_record_inside_a_run_keeps_its_old_flush(self):
+        """One record in the middle of a contiguous run has no clean
+        copy at re-flush time: ``flush-lost`` reports exactly its
+        bytes, its neighbours materialise, and its span keeps the
+        previous flush's bytes *and* version stamp — so a later degraded
+        read refuses the stale PFS copy instead of serving it."""
+        from repro.core.errors import DataLossError
+        from repro.core.metadata import record_runs
+        sim, comm = setup(UniviStorConfig.dram_only(
+            metadata_range_size=int(64 * KiB)))
+        system = sim.univistor
+        lo, block = int(32 * KiB), int(192 * KiB)
+
+        def write(pattern):
+            fh = yield from sim.open(comm, "/f", "w", fstype="univistor")
+            yield from fh.write_at_all([
+                IORequest(0, lo, block, PatternPayload(pattern))])
+            return fh
+
+        def app():
+            fh = yield from write(1)
+            yield from fh.close()
+            yield from fh.sync()
+            fh = yield from write(2)
+            # The overwrite's four range pieces form one record run;
+            # rot the second one's log bytes before the re-flush.
+            session = system.session("/f")
+            run, = record_runs(system.metadata.records_of(session.fid))
+            assert len(run) == 4
+            victim = run[1]
+            layer, addr = session.writers[0].vas.resolve(victim.va)
+            session.writers[0].logs[layer].sim_file.corrupt_at(
+                int(addr), victim.length, 99)
+            yield from fh.close()
+            yield from fh.sync()
+            return victim
+
+        victim = sim.run_to_completion(app())
+        lost, = sim.telemetry.select(op="flush-lost")
+        assert lost.nbytes == victim.length
+        pfs = sim.machine.pfs_files.open("/f")
+        v1 = PatternPayload(1).materialize(0, block)
+        v2 = PatternPayload(2).materialize(0, block)
+        cut_lo, cut_hi = victim.offset - lo, victim.end - lo
+        # Neighbours hold the overwrite; the lost span the old flush.
+        assert pfs.read_bytes(lo, cut_lo) == v2[:cut_lo]
+        assert (pfs.read_bytes(victim.offset, victim.length)
+                == v1[cut_lo:cut_hi])
+        assert (pfs.read_bytes(victim.end, block - cut_hi)
+                == v2[cut_hi:])
+        session = system.session("/f")
+        assert session.pfs_versions.stale_spans(
+            session.data_versions, lo, block)[0].start == victim.offset
+
+        def read_victim():
+            fh = yield from sim.open(comm, "/f", "r", fstype="univistor")
+            yield from fh.read_at_all([
+                IORequest(0, victim.offset, victim.length)])
+
+        with pytest.raises(DataLossError) as info:
+            sim.run_to_completion(read_victim())
+        stale, = info.value.stale_provenance
+        assert (stale.start, stale.end) == (victim.offset, victim.end)
+        assert (stale.have_version, stale.want_version) == (1, 2)
+        assert sim.telemetry.counters["data-stale-reject"] >= 1
+
     def test_overwrite_after_flush_reflushes(self):
         """Regression (found by the stateful model test): an overwrite
         after a completed flush must be flushed again — live-byte

@@ -1,14 +1,19 @@
 """Metadata fast path: batched inserts, coalescing, in-store compaction
 and journal checkpoint + truncation (docs/MODEL.md §9)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import location_cache as location_cache_module
+from repro.core import metadata as metadata_module
 from repro.core.config import StorageTier
+from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
                                  MetadataUnavailableError, QuorumLostError,
-                                 coalesce_records)
+                                 coalesce_records, split_record)
 
 KB = 1024
 
@@ -389,3 +394,86 @@ class TestInsertManyContract:
                 found, _ = md.lookup(1, lo, hi - lo)
                 assert self._bytes(found) == {
                     b: v for b, v in oracle.items() if lo <= b < hi}
+
+    # -- in-order (tail-append) fast path ------------------------------
+    @staticmethod
+    def _general_apply_insert(store, piece, range_size):
+        """``apply_insert`` with its tail-append fast path bypassed."""
+        starts, recs = store.setdefault(piece.fid, ([], []))
+        metadata_module._splice_insert(starts, recs, piece, range_size)
+
+    @staticmethod
+    def _in_order(steps, cursor):
+        """Records laid end to end from ``cursor`` (optionally past a
+        gap), each writer keeping a contiguous VA stream so neighbours
+        can merge."""
+        records, vas = [], {}
+        for gap, length, proc, va_jump in steps:
+            cursor += gap
+            va = vas.get(proc, 1000.0 * proc) + va_jump
+            records.append(MetadataRecord(1, cursor, length, proc, va,
+                                          StorageTier.DRAM, 0))
+            vas[proc] = va + length
+            cursor += length
+        return records
+
+    _step = st.tuples(st.sampled_from([0, 0, 0, 3]),
+                      st.integers(min_value=1, max_value=40),
+                      st.integers(min_value=0, max_value=2),
+                      st.sampled_from([0, 0, 5]))
+
+    @given(st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([8, 16, 32]),
+           st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+           st.lists(_write, max_size=4),
+           st.lists(st.lists(_step, min_size=1, max_size=8), min_size=1,
+                    max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_in_order_batches_match_general_insert(self, n_servers,
+                                                   replication, range_size,
+                                                   splits, before, batches):
+        """In-order ``insert_many`` batches (the tail-append fast path)
+        leave every authoritative store and the location cache identical
+        to the general bisect-and-splice path, seam merges included."""
+        def build(general):
+            md = MetadataService(n_servers, range_size,
+                                 replication=min(replication, n_servers))
+            for r in splits:
+                md.split_range(r)
+            cache = LocationCache(range_size)
+            cache.begin_file(1)
+            patches = ()
+            if general:
+                patches = (
+                    mock.patch.object(metadata_module, "apply_insert",
+                                      self._general_apply_insert),
+                    mock.patch.object(location_cache_module,
+                                      "apply_insert",
+                                      self._general_apply_insert))
+            for patch in patches:
+                patch.start()
+            try:
+                prior = [self._record(*w) for w in before]
+                md.insert_many(prior)
+                cache.insert_records(prior)
+                # Each batch continues past everything stored so far.
+                cursor = max([r.end for r in prior], default=0)
+                for steps in batches:
+                    records = self._in_order(steps, cursor)
+                    md.insert_many(records)
+                    cache.insert_records(records)
+                    cursor = records[-1].end
+            finally:
+                for patch in patches:
+                    patch.stop()
+            return md._stores, cache._files
+
+        assert build(general=False) == build(general=True)
+
+    def test_split_record_keeps_an_in_range_record(self):
+        record = MetadataRecord(1, 16, 8, 0, 16.0, StorageTier.DRAM, 0)
+        assert split_record(record, 32)[0] is record
+        assert [(p.offset, p.length) for p in split_record(
+            MetadataRecord(1, 16, 40, 0, 16.0, StorageTier.DRAM, 0),
+            32)] == [(16, 16), (32, 24)]
