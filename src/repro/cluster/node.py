@@ -57,6 +57,9 @@ class ComputeNode:
         self.files = FileStore(name=f"node{node_id}")
         self._programs: Dict[str, ProgramOnNode] = {}
         self._placement_cache: Dict[Tuple, CorePlacement] = {}
+        #: ``(name, nprocs, kind)`` of every co-resident program, in
+        #: registration order (the order placement fills cores in).
+        self.tenancy: Tuple[Tuple[str, int, str], ...] = ()
         #: Bumped on every register/unregister; an O(1) stand-in for the
         #: co-resident program set in downstream cache keys (multi-job
         #: runs change tenancy mid-simulation).
@@ -72,11 +75,15 @@ class ComputeNode:
         if nprocs <= 0:
             return
         self._programs[name] = ProgramOnNode(name, nprocs, kind)
-        self._placement_cache.clear()
-        self.tenancy_epoch += 1
+        self._tenancy_changed()
 
     def unregister_program(self, name: str) -> None:
         self._programs.pop(name, None)
+        self._tenancy_changed()
+
+    def _tenancy_changed(self) -> None:
+        self.tenancy = tuple((p.name, p.nprocs, p.kind)
+                             for p in self._programs.values())
         self._placement_cache.clear()
         self.tenancy_epoch += 1
 
@@ -93,9 +100,7 @@ class ComputeNode:
     # -- placement / interference ------------------------------------------
     def placement(self, policy: PlacementPolicy) -> CorePlacement:
         """Current placement of all registered programs under ``policy``."""
-        key = (policy, self.flush_active,
-               tuple(sorted((p.name, p.nprocs, p.kind)
-                            for p in self._programs.values())))
+        key = (policy, self.flush_active, self.tenancy)
         cached = self._placement_cache.get(key)
         if cached is not None:
             return cached

@@ -391,7 +391,7 @@ class UniviStorDriver(ADIODriver):
             if writer is None:
                 continue
             layer, addr = writer.vas.resolve(rec.va)
-            writer.logs[layer].free_segment(addr, rec.length)
+            writer.log(layer).free_segment(addr, rec.length)
 
     def read_at_all(self, state: _OpenFile, requests: List[IORequest]
                     ) -> Generator:

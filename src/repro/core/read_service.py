@@ -91,8 +91,8 @@ class ReadService:
             raise KeyError(
                 f"{session.path}: no log for source process {record.proc_id}")
         layer, addr = writer.vas.resolve(record.va)
-        pieces = writer.logs[layer].sim_file.read_at(int(addr),
-                                                     int(record.length))
+        pieces = writer.log(layer).sim_file.read_at(int(addr),
+                                                    int(record.length))
         for p in pieces:
             # Checksum verification: rot in the cached log must never be
             # returned as data.  Corrupt segments fall back to a clean
@@ -127,7 +127,7 @@ class ReadService:
         length = run[-1].end - first.offset
         if addr + length > vas.capacities[layer]:
             return None
-        pieces = writer.logs[layer].sim_file.read_at(int(addr), int(length))
+        pieces = writer.log(layer).sim_file.read_at(int(addr), int(length))
         for p in pieces:
             if isinstance(p.payload, CorruptPayload):
                 return None

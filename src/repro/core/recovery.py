@@ -302,7 +302,7 @@ class ScrubService:
             if writer is None:
                 continue
             layer, addr = writer.vas.resolve(record.va)
-            sim_file = writer.logs[layer].sim_file
+            sim_file = writer.log(layer).sim_file
             scanned += record.length
             for c_off, c_len in sim_file.corrupt_ranges(int(addr),
                                                         int(record.length)):

@@ -125,11 +125,15 @@ class StorageDevice:
     def available(self) -> float:
         return self.capacity - self._used
 
+    def can_allocate(self, nbytes: float) -> bool:
+        """Whether :meth:`allocate` of ``nbytes`` would succeed."""
+        return self._used + nbytes <= self.capacity * (1 + 1e-9)
+
     def allocate(self, nbytes: float) -> None:
         """Reserve ``nbytes``; raises :class:`CapacityError` if impossible."""
         if nbytes < 0:
             raise ValueError(f"negative allocation: {nbytes}")
-        if self._used + nbytes > self.capacity * (1 + 1e-9):
+        if not self.can_allocate(nbytes):
             raise CapacityError(
                 f"{self.name}: allocating {nbytes:.0f} B exceeds capacity "
                 f"({self.available:.0f} B available)")

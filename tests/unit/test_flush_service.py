@@ -150,7 +150,7 @@ class TestFlushContent:
             assert len(run) == 4
             victim = run[1]
             layer, addr = session.writers[0].vas.resolve(victim.va)
-            session.writers[0].logs[layer].sim_file.corrupt_at(
+            session.writers[0].log(layer).sim_file.corrupt_at(
                 int(addr), victim.length, 99)
             yield from fh.close()
             yield from fh.sync()

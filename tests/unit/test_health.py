@@ -202,7 +202,7 @@ class TestScrub:
     def _corrupt_first_log(self, sim, system, path="/f"):
         session = system._sessions[path]
         writer = session.writers[0]
-        log = writer.logs[0]
+        log = writer.log(0)
         log.sim_file.corrupt_at(0, 4096, token=1)
         return session
 

@@ -309,7 +309,7 @@ class TestResolveRun:
             if fault == "fail-node":
                 sim.univistor.fail_node(comm.node_of_rank(rank).node_id)
             else:
-                log = session.writers[rank].logs[0].sim_file
+                log = session.writers[rank].log(0).sim_file
                 log.corrupt_at(at_kib * int(KiB), n_kib * int(KiB), 7)
             return sim, session
 

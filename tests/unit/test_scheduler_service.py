@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.cpu import PlacementPolicy
+from repro.cluster.cpu import PlacementPolicy, cpu_availability
 from repro.cluster.spec import MachineSpec
 from repro.cluster.topology import Machine
 from repro.core.config import UniviStorConfig
@@ -102,3 +102,97 @@ class TestFlushMigration:
         sched_ia.end_flush()
         cfs = sched_cfs.mean_flush_efficiency()
         assert ia > cfs, "IA migration must free the flushing servers"
+
+
+def one_node(procs, interference_aware=True):
+    machine, sched = make(interference_aware, nodes=1)
+    machine.register_program("app", procs, procs_per_node=procs)
+    return machine, sched
+
+
+class TestStaleFactors:
+    @pytest.mark.parametrize("interference_aware", [True, False])
+    def test_flush_factor_follows_process_count(self, interference_aware):
+        """Re-registering a program with a new process count must not
+        serve the flush factor cached for the old count."""
+        machine, sched = one_node(8, interference_aware)
+        node = machine.nodes[0]
+        before = sched.flush_efficiency(node)
+        machine.register_program("app", 64, procs_per_node=64)
+        fresh = cpu_availability(node.placement(sched.policy), "uv-server",
+                                 machine.spec.scheduling)
+        assert sched.flush_efficiency(node) == fresh
+        if interference_aware:
+            assert before == pytest.approx(0.995, abs=1e-3)
+            assert fresh == pytest.approx(0.283, abs=1e-3)
+
+
+def check_parity(machine, sched):
+    """Every node's memoised factors equal a fresh per-node computation."""
+    idle = frozenset({"uv-server"})
+    for node in machine.nodes:
+        for name, *_ in node.tenancy:
+            for op, sensitivity in (("write", 1.0), ("read", 0.45)):
+                fresh = node.efficiency(name, sched.policy,
+                                        sensitivity=sensitivity,
+                                        idle_programs=idle)
+                assert sched.client_efficiency(node, name, op) == fresh
+        fresh = cpu_availability(node.placement(sched.policy), "uv-server",
+                                 machine.spec.scheduling)
+        assert sched.flush_efficiency(node) == fresh
+
+
+class TestNodeClassParity:
+    """Under IA the factors are memoised per node class, not per node."""
+
+    def _mixed_machine(self, interference_aware=True):
+        machine, sched = make(interference_aware, nodes=4)
+        # Nodes 2-3 also host an in-transit analysis program, so the
+        # machine has two node classes.
+        machine.register_program("ana", 24, procs_per_node=12,
+                                 node_offset=2)
+        return machine, sched
+
+    def test_parity_across_tenancy_and_flush_changes(self):
+        machine, sched = self._mixed_machine()
+        check_parity(machine, sched)
+        sched.begin_flush()
+        check_parity(machine, sched)
+        machine.register_program("viz", 8, procs_per_node=4)
+        check_parity(machine, sched)
+        sched.end_flush()
+        check_parity(machine, sched)
+        machine.unregister_program("ana")
+        check_parity(machine, sched)
+        machine.register_program("app", 4 * 8, procs_per_node=8)
+        check_parity(machine, sched)
+
+    def test_one_entry_per_node_class(self):
+        machine, sched = self._mixed_machine()
+        for node in machine.nodes:
+            sched.client_efficiency(node, "app", "write")
+            sched.flush_efficiency(node)
+        assert len(sched._cache) == 4  # 2 classes x (client, flush)
+
+    def test_registration_order_is_part_of_the_class(self):
+        """IA placement fills cores in registration order, so the same
+        program set registered in another order is another class."""
+        machine, sched = make(True, nodes=2)
+        machine.unregister_program("app")
+        for node, order in zip(machine.nodes, (("a", "b"), ("b", "a"))):
+            for name in order:
+                node.register_program(name, 17 if name == "a" else 15)
+        assert machine.nodes[0].tenancy != machine.nodes[1].tenancy
+        sched.begin_flush()
+        check_parity(machine, sched)
+        sched.end_flush()
+
+    def test_cfs_nodes_keep_their_own_factors(self):
+        """CFS draws each node's placement from its own RNG stream, so two
+        nodes with the same programs may differ; each still matches a
+        fresh computation on that node."""
+        machine, sched = make(False, nodes=8)
+        effs = {sched.client_efficiency(node, "app", "write")
+                for node in machine.nodes}
+        assert len(effs) > 1
+        check_parity(machine, sched)
