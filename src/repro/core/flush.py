@@ -180,7 +180,7 @@ class FlushService:
         out: Dict[int, float] = {}
         for rank, writer in session.writers.items():
             node = session.node_of_proc(rank)
-            for log in writer.logs:
+            for log in writer.created_logs:
                 if log.tier is tier and log.bytes_live > 0:
                     out[node.node_id] = out.get(node.node_id, 0.0) + log.bytes_live
         return out

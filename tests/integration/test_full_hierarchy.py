@@ -93,7 +93,10 @@ class TestFourTierSpill:
             StorageTier.DRAM, StorageTier.LOCAL_SSD,
             StorageTier.SHARED_BB, StorageTier.PFS]
         # Every layer's log actually holds bytes for this writer.
-        assert all(log.bytes_live > 0 for log in writer.logs)
+        assert all(b > 0 for b in writer.bytes_per_layer())
+        assert [log.tier for log in writer.created_logs] == [
+            StorageTier.DRAM, StorageTier.LOCAL_SSD,
+            StorageTier.SHARED_BB, StorageTier.PFS]
 
     def test_flush_covers_all_cache_tiers(self):
         sim, comm = setup()

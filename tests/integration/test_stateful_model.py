@@ -173,7 +173,7 @@ class UniviStorMachine(RuleBasedStateMachine):
                 continue
             session = self.sim.univistor.session(path)
             for writer in session.writers.values():
-                for log in writer.logs:
+                for log in writer.created_logs:
                     assert log.bytes_live >= -1e-6
                     assert log.bytes_live <= log.bytes_written + 1e-6
 
