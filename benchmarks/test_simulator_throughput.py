@@ -13,7 +13,7 @@ from repro.cluster.spec import MachineSpec
 from repro.core.config import StorageTier, UniviStorConfig
 from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
-                                 coalesce_records)
+                                 coalesce_records, pieces_by_range)
 from repro.experiments.common import build_simulation
 from repro.sim import BandwidthResource, Engine
 from repro.simmpi.mpiio import IORequest
@@ -123,7 +123,7 @@ class TestMetadataFastPath:
                                   i % 2)
                    for i in range(n_records)]
         md.insert_many(records)
-        cache.insert_records(records)
+        cache.insert_records(pieces_by_range(records, md.range_size))
         span = int(1 * MiB)
         limit = n_records * chunk - span
         offsets = [(j * 997 * chunk) % limit // chunk * chunk

@@ -48,7 +48,7 @@ class Chunk:
     live: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacedSegment:
     """Where one contiguous run of logical file bytes physically landed."""
 

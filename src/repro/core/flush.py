@@ -17,7 +17,7 @@ persistence that node-local and burst-buffer space cannot (§I).
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Dict, Generator, List
 
 from repro.core.config import StorageTier
 from repro.core.metadata import record_runs
@@ -204,18 +204,32 @@ class FlushService:
         pfs_versions = session.pfs_versions
         runs = record_runs(self.system.metadata.records_of(session.fid))
         lost_bytes = 0.0
+        # The PFS copy reflects the authority over each *stretch* of
+        # offset-contiguous copied runs: one splice when the stretch
+        # ends, span-identical to per-record stamping.  Deferring it is
+        # safe because a degraded copy reads ``pfs_versions`` only inside
+        # its own record's window.  A lost record ends a stretch: its
+        # span keeps its old stamp.
+        cuts: List[int] = []
         for run, extents in self.system.read_service.copy_runs(session,
                                                                runs):
             if extents is None:
                 lost_bytes += run[0].length
+                if cuts:
+                    pfs_versions.copy_from_cuts(authority, cuts)
+                    cuts = []
                 continue
             for extent in extents:
                 out.write_at(extent.offset, extent.length, extent.payload,
                              extent.payload_offset)
-            # The PFS copy now reflects the authority over the run's
-            # span: one splice, span-identical to per-record stamping.
-            pfs_versions.copy_from_cuts(
-                authority, [r.offset for r in run] + [run[-1].end])
+            if cuts and cuts[-1] != run[0].offset:
+                pfs_versions.copy_from_cuts(authority, cuts)
+                cuts = []
+            if not cuts:
+                cuts.append(run[0].offset)
+            cuts.extend(r.end for r in run)
+        if cuts:
+            pfs_versions.copy_from_cuts(authority, cuts)
         if lost_bytes > 0:
             self.system.telemetry_hook("flush-lost", session.path,
                                        lost_bytes)

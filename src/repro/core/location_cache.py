@@ -36,9 +36,9 @@ recreated from scratch.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.metadata import MetadataRecord, apply_insert, split_record
+from repro.core.metadata import MetadataRecord, apply_insert
 
 __all__ = ["LocationCache"]
 
@@ -94,17 +94,20 @@ class LocationCache:
         return len(entry[1]) if entry else 0
 
     # -- write-through -----------------------------------------------------
-    def insert_records(self, records: List[MetadataRecord]) -> None:
-        """Mirror an accepted insert batch.  Untracked fids are ignored —
+    def insert_records(self, by_range: Mapping[int, Iterable[MetadataRecord]]
+                       ) -> None:
+        """Mirror an accepted insert batch, given as the range-local
+        pieces the stores applied, grouped by range
+        (:func:`~repro.core.metadata.pieces_by_range`); the pieces are
+        applied as given, never cut again.  Untracked fids are ignored —
         a partial mirror would be exactly the stale cache this class
         exists to prevent."""
         files = self._files
         range_size = self.range_size
-        for record in records:
-            if record.fid not in files:
-                continue
-            for piece in split_record(record, range_size):
-                apply_insert(files, piece, range_size)
+        for pieces in by_range.values():
+            for piece in pieces:
+                if piece.fid in files:
+                    apply_insert(files, piece, range_size)
 
     # -- lookup ------------------------------------------------------------
     def lookup(self, fid: int, offset: int,

@@ -71,7 +71,7 @@ from repro.core.errors import DataLossError, QuorumLostError
 
 __all__ = ["MetadataRecord", "MetadataService", "MetadataUnavailableError",
            "QuorumLostError", "coalesce_records", "split_record",
-           "record_runs", "apply_insert"]
+           "pieces_by_range", "record_runs", "apply_insert"]
 
 
 class MetadataUnavailableError(DataLossError):
@@ -146,6 +146,27 @@ def split_record(record: "MetadataRecord",
         pieces.append(record.slice(start, cut))
         start = cut
     return pieces
+
+
+def pieces_by_range(records: Iterable["MetadataRecord"], range_size: float
+                    ) -> Dict[int, List["MetadataRecord"]]:
+    """Cut a batch into range-local pieces (:func:`split_record`),
+    grouped by range index in the order the batch first touches each
+    range.  Ranges partition the offset space, so the grouping keeps
+    every range's pieces in batch order and cannot reorder an
+    overwrite.  This is the cut :meth:`MetadataService.insert_many` and
+    the location-cache write-through both apply, so a collective cuts
+    each record once and hands the grouping to both."""
+    by_range: Dict[int, List[MetadataRecord]] = {}
+    for record in records:
+        for piece in split_record(record, range_size):
+            index = int(piece.offset // range_size)
+            pieces = by_range.get(index)
+            if pieces is None:
+                by_range[index] = [piece]
+            else:
+                pieces.append(piece)
+    return by_range
 
 
 def record_runs(records: Iterable["MetadataRecord"]
@@ -238,7 +259,7 @@ def _splice_insert(starts: List[int], recs: List["MetadataRecord"],
             j += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetadataRecord:
     """Fig. 3's record: FID + offset -> source process + VA (+ locality)."""
 
@@ -629,22 +650,15 @@ class MetadataService:
             return set(range(self.n_servers))
         return {(r % self.n_servers) for r in range(first, last + 1)}
 
-    def _split_by_range(self, record: MetadataRecord) -> Iterable[MetadataRecord]:
-        if not self._splits:
-            return split_record(record, self.range_size)
-        return self._split_by_sub_range(record)
-
-    def _split_by_sub_range(
-            self, record: MetadataRecord) -> Iterable[MetadataRecord]:
-        """Like :func:`split_record`, but pieces inside a *split* range
-        are additionally sliced at its sub-range boundaries, so every
-        journaled piece has exactly one responsible member set."""
-        for piece in split_record(record, self.range_size):
-            range_index = int(piece.offset // self.range_size)
-            subs = self._splits.get(range_index)
-            if subs is None or len(subs) == 1:
-                yield piece
-                continue
+    @staticmethod
+    def _cut_at_subs(pieces: List[MetadataRecord],
+                     subs: List[Tuple[int, List[int]]]
+                     ) -> List[MetadataRecord]:
+        """A *split* range's pieces, sliced again at its sub-range
+        boundaries, so every journaled piece has exactly one responsible
+        member set."""
+        out: List[MetadataRecord] = []
+        for piece in pieces:
             start = piece.offset
             while start < piece.end:
                 nxt = piece.end
@@ -652,8 +666,9 @@ class MetadataService:
                     if sub_start > start:
                         nxt = min(nxt, sub_start)
                         break
-                yield piece.slice(start, nxt)
+                out.append(piece.slice(start, nxt))
                 start = nxt
+        return out
 
     # -- mutation ----------------------------------------------------------
     def _write_ackers(self, range_index: int,
@@ -720,36 +735,41 @@ class MetadataService:
                 continue
             self._stale.setdefault(range_index, set()).add(server)
 
-    def insert_many(self, records: Iterable[MetadataRecord]) -> Set[int]:
+    def insert_many(self, records: Iterable[MetadataRecord],
+                    by_range: Optional[Dict[int, List[MetadataRecord]]]
+                    = None) -> Set[int]:
         """Insert a batch (overwriting overlaps); returns servers contacted.
 
         One range-ordered pass: every record is cut into range-local
-        pieces (and at sub-range boundaries of a split range), and the
-        ranges are handled in the order the batch first touches them.
-        Ranges partition the offset space, so grouping pieces by range
-        cannot reorder an overwrite.  Per range, the ackers are checked
-        before any piece is applied (every sub-range's, for a split
-        range — :meth:`_write_ackers`); then the range's pieces are
-        journaled with one ``extend`` (after the check: a rejected write
-        must not be resurrected by a later takeover replay), applied on
-        every acker, live members that missed them are fenced as stale,
-        and the journal may checkpoint.
+        pieces (:func:`pieces_by_range`; a caller that already holds
+        that grouping of ``records`` passes it as ``by_range`` and the
+        records are not cut again), and the ranges are handled in the
+        order the batch first touches them.  Only a *split* range's
+        pieces are cut again, at its sub-range boundaries.  Ranges
+        partition the offset space, so grouping pieces by range cannot
+        reorder an overwrite.  Per range, the ackers are checked before
+        any piece is applied (every sub-range's, for a split range —
+        :meth:`_write_ackers`); then the range's pieces are journaled
+        with one ``extend`` (after the check: a rejected write must not
+        be resurrected by a later takeover replay), applied on every
+        acker, live members that missed them are fenced as stale, and
+        the journal may checkpoint.
 
         The first range that cannot ack raises, with the fid, offset and
         length of the refused piece attached.  Every earlier range stays
         applied and journaled; the refused range and every later one are
         left untouched.
         """
-        range_size = self.range_size
-        per_range: Dict[int, List[MetadataRecord]] = {}
-        for record in records:
-            for piece in self._split_by_range(record):
-                per_range.setdefault(int(piece.offset // range_size),
-                                     []).append(piece)
+        if by_range is None:
+            by_range = pieces_by_range(records, self.range_size)
+        splits = self._splits
         touched: Set[int] = set()
         insert = self._insert_piece
-        for range_index, pieces in per_range.items():
-            split = range_index in self._splits
+        for range_index, pieces in by_range.items():
+            subs = splits.get(range_index)
+            split = subs is not None
+            if split and len(subs) > 1:
+                pieces = self._cut_at_subs(pieces, subs)
             # The piece a refusal names: the range's first, or for a
             # split range the first whose sub-range cannot ack.
             piece = pieces[0]

@@ -52,7 +52,7 @@ class FileSession:
         self.writers: Dict[int, DHPWriter] = {}
         #: Layer plans shared by this file's writers, keyed by
         #: (node id or None, tiers, c/p capacities) — see
-        #: :meth:`UniviStorServers._make_writer`.
+        #: :meth:`UniviStorServers._plan_for`.
         self.plans: Dict[tuple, LayerPlan] = {}
         self.bytes_written = 0.0
         #: Cumulative bytes written into *cache* tiers (monotonic — an
@@ -90,13 +90,20 @@ class FileSession:
         return vmap
 
     # -- DHP plumbing ----------------------------------------------------
-    def writer_for(self, comm: Communicator, rank: int) -> DHPWriter:
-        """Get (lazily creating) the DHP writer of ``rank``."""
+    def writer_for(self, comm: Communicator, rank: int,
+                   node_plans: Optional[Dict[int, LayerPlan]] = None
+                   ) -> DHPWriter:
+        """Get (lazily creating) the DHP writer of ``rank``.
+
+        ``node_plans`` is one collective's ``{node id: LayerPlan}``
+        memo: a new writer takes its node's plan from it, so the plan is
+        looked up once per node per collective (see
+        :meth:`UniviStorServers._make_writer`)."""
         if self.writer_comm is None:
             self.writer_comm = comm
         writer = self.writers.get(rank)
         if writer is None:
-            writer = self.system._make_writer(self, comm, rank)
+            writer = self.system._make_writer(self, comm, rank, node_plans)
             self.writers[rank] = writer
         return writer
 
@@ -556,11 +563,31 @@ class UniviStorServers:
         return max(cap, self.config.chunk_size)
 
     def _make_writer(self, session: FileSession, comm: Communicator,
-                     rank: int) -> DHPWriter:
+                     rank: int,
+                     node_plans: Optional[Dict[int, LayerPlan]] = None
+                     ) -> DHPWriter:
         """A writer for ``rank`` on the session's shared layer plan for
-        the rank's tiers and c/p capacities.  A new quota or advice
-        changes the key, so no rank ever gets a stale plan."""
+        the rank's tiers and c/p capacities.
+
+        With ``node_plans`` (one collective's memo) the plan is looked up
+        once per node: everything the lookup reads — advice, ``bb_quota``,
+        device capacity and the communicator's placement — is fixed
+        while a collective's synchronous request loop runs."""
         node = comm.node_of_rank(rank)
+        if node_plans is None:
+            plan = self._plan_for(session, comm, node)
+        else:
+            plan = node_plans.get(node.node_id)
+            if plan is None:
+                plan = node_plans[node.node_id] = self._plan_for(
+                    session, comm, node)
+        return DHPWriter(rank, plan.vas, plan.logs)
+
+    def _plan_for(self, session: FileSession, comm: Communicator,
+                  node: ComputeNode) -> LayerPlan:
+        """The session's layer plan for ``node``'s tiers and c/p
+        capacities.  A new quota or advice changes the key, so no rank
+        ever gets a stale plan."""
         cache_tiers = self.config.cache_tiers
         if self.config.adaptive_placement:
             cache_tiers = self.advisor.advise_tiers(session.path,
@@ -576,7 +603,7 @@ class UniviStorServers:
         if plan is None:
             plan = session.plans[key] = self._layer_plan(
                 session, node, tiers, capacities)
-        return DHPWriter(rank, plan.vas, plan.logs)
+        return plan
 
     def _layer_plan(self, session: FileSession, node: ComputeNode,
                     tiers, capacities) -> LayerPlan:

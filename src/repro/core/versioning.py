@@ -144,16 +144,7 @@ class VersionMap:
             for lo, hi in zip(cuts, cuts[1:]):
                 self.copy_from(authority, lo, hi - lo)
             return
-        middle: List[List[int]] = []
-        k = 1
-        for s, e, v, ep in auth:
-            while s < e:
-                while cuts[k] <= s:
-                    k += 1
-                cut = min(e, cuts[k])
-                middle.append([s, cut, v, ep])
-                s = cut
-        self._splice(start, end, middle)
+        self._splice(start, end, _cut_at(auth, cuts))
 
     def stale_spans(self, authority: "VersionMap", offset: int,
                     length: int) -> List[StaleSpan]:
@@ -183,27 +174,53 @@ class VersionMap:
 
 
 def stamp_with_epochs(vmap: VersionMap, metadata, offset: int,
-                      length: int, version: int) -> None:
+                      length: int, version: int,
+                      cuts: Sequence[int] = ()) -> None:
     """Stamp an authority window with ``version``, splitting it at
     metadata range boundaries so every sub-span carries the range epoch
     current at stamp time (``metadata`` is a
-    :class:`~repro.core.metadata.MetadataService`)."""
+    :class:`~repro.core.metadata.MetadataService`).
+
+    ``cuts`` (strictly increasing, inside the window) are the request
+    edges of a *stretch*: back-to-back requests of one op, each
+    starting where the one before ends, stamped in one splice.  The
+    spans left are exactly those of one call per request — an edge at
+    every request edge and at every epoch change."""
     if length <= 0:
         return
     range_size = metadata.range_size
-    end = offset + length
-    first = int(offset // range_size)
+    start, end = int(offset), int(offset + length)
+    first = int(start // range_size)
     last = int((end - 1) // range_size)
-    # Coalesce consecutive ranges sharing an epoch into one stamp: in
+    # Coalesce consecutive ranges sharing an epoch into one span: in
     # the common case (no takeover ever bumped an epoch in the window)
-    # a multi-MiB request costs one splice, not one per 64 KiB range.
-    run_start = offset
+    # a multi-MiB request is one span, not one per 64 KiB range.
+    epoch_runs: List[Tuple[int, int, int, int]] = []
+    run_start = start
     run_epoch = metadata.range_epoch(first)
     for range_index in range(first + 1, last + 1):
         epoch = metadata.range_epoch(range_index)
         if epoch == run_epoch:
             continue
         hi = int(range_index * range_size)
-        vmap.stamp(run_start, hi - run_start, version, run_epoch)
+        epoch_runs.append((run_start, hi, version, run_epoch))
         run_start, run_epoch = hi, epoch
-    vmap.stamp(run_start, end - run_start, version, run_epoch)
+    epoch_runs.append((run_start, end, version, run_epoch))
+    vmap._splice(start, end,
+                 _cut_at(epoch_runs, [*(int(c) for c in cuts), end]))
+
+
+def _cut_at(spans: Sequence[Tuple[int, int, int, int]],
+            edges: Sequence[int]) -> List[List[int]]:
+    """Contiguous ``(start, end, version, epoch)`` spans cut at every
+    edge (``edges`` strictly increasing, the last at the spans' end)."""
+    middle: List[List[int]] = []
+    k = 0
+    for s, e, v, ep in spans:
+        while s < e:
+            while edges[k] <= s:
+                k += 1
+            cut = min(e, edges[k])
+            middle.append([s, cut, v, ep])
+            s = cut
+    return middle

@@ -1,13 +1,15 @@
 """Unit + property tests for DHP logs, chunks, free-chunk stack, spill."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import StorageTier
-from repro.core.dhp import DHPWriter, LayerPlan, LogFile, PendingLog
+from repro.core.dhp import (DHPWriter, LayerPlan, LogFile, PendingLog,
+                            PlacedSegment)
 from repro.core.va import VirtualAddressSpace
 from repro.sim import Engine
 from repro.storage.datamodel import PatternPayload
@@ -324,6 +326,15 @@ class TestLayerPlan:
         segs = w.write(8, 8, PatternPayload(2))
         assert [s.tier for s in segs] == [StorageTier.SHARED_BB]
         assert [log.tier for log in w.created_logs] == [StorageTier.SHARED_BB]
+
+
+class TestPlacedSegment:
+    def test_slotted_and_pickle_round_trip(self):
+        # Slots keep the per-instance dict out of the resident set.
+        seg = make_writer().write(0, 25, PatternPayload(1))[0]
+        assert isinstance(seg, PlacedSegment)
+        assert not hasattr(seg, "__dict__")
+        assert pickle.loads(pickle.dumps(seg)) == seg
 
 
 class TestDHPProperties:

@@ -13,7 +13,8 @@ from repro import (
 )
 from repro.core.config import StorageTier
 from repro.core.location_cache import LocationCache
-from repro.core.metadata import MetadataRecord, MetadataService
+from repro.core.metadata import (MetadataRecord, MetadataService,
+                                 pieces_by_range)
 from repro.units import KiB
 
 KB = 1024
@@ -43,8 +44,9 @@ class TestMirrorExactness:
         return md, cache
 
     def both_insert(self, md, cache, records):
-        md.insert_many(records)
-        cache.insert_records(records)
+        by_range = pieces_by_range(records, md.range_size)
+        md.insert_many(records, by_range)
+        cache.insert_records(by_range)
 
     def test_lookup_equals_authoritative(self):
         md, cache = self.mirror_pair()

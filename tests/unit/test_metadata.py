@@ -1,5 +1,7 @@
 """Unit + property tests for the distributed metadata service."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +168,16 @@ class TestRecordSlice:
             rec(-1, 10)
         with pytest.raises(ValueError):
             rec(0, 0)
+
+    @pytest.mark.parametrize("record", [
+        rec(10, 20, va=100),
+        MetadataRecord(3, 0, 8, 1, 0.0, StorageTier.SHARED_BB, None),
+    ])
+    def test_slotted_and_pickle_round_trip(self, record):
+        # Slots keep the per-instance dict out of the resident set; the
+        # chaos campaign's worker pool pickles results built from them.
+        assert not hasattr(record, "__dict__")
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 write = st.tuples(st.integers(min_value=0, max_value=500),

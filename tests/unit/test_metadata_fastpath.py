@@ -1,6 +1,7 @@
 """Metadata fast path: batched inserts, coalescing, in-store compaction
 and journal checkpoint + truncation (docs/MODEL.md §9)."""
 
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from repro.core import location_cache as location_cache_module
 from repro.core import metadata as metadata_module
+from repro.core.client import UniviStorDriver
 from repro.core.config import StorageTier
 from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
                                  MetadataUnavailableError, QuorumLostError,
-                                 coalesce_records, split_record)
+                                 apply_insert, coalesce_records,
+                                 pieces_by_range, split_record)
 
 KB = 1024
 
@@ -456,13 +459,14 @@ class TestInsertManyContract:
             try:
                 prior = [self._record(*w) for w in before]
                 md.insert_many(prior)
-                cache.insert_records(prior)
+                cache.insert_records(pieces_by_range(prior, range_size))
                 # Each batch continues past everything stored so far.
                 cursor = max([r.end for r in prior], default=0)
                 for steps in batches:
                     records = self._in_order(steps, cursor)
                     md.insert_many(records)
-                    cache.insert_records(records)
+                    cache.insert_records(
+                        pieces_by_range(records, range_size))
                     cursor = records[-1].end
             finally:
                 for patch in patches:
@@ -477,3 +481,110 @@ class TestInsertManyContract:
         assert [(p.offset, p.length) for p in split_record(
             MetadataRecord(1, 16, 40, 0, 16.0, StorageTier.DRAM, 0),
             32)] == [(16, 16), (32, 24)]
+
+
+class TestCutOnce:
+    """A shipped collective cuts each record at range boundaries once
+    (:func:`pieces_by_range`) and hands that grouping to both the
+    stores and the location cache (docs/MODEL.md §9)."""
+
+    _pending = st.lists(st.tuples(st.integers(min_value=0, max_value=120),
+                                  st.integers(min_value=1, max_value=50),
+                                  st.integers(min_value=0, max_value=2),
+                                  st.sampled_from([1, 1, 1, 2])),
+                        min_size=1, max_size=10)
+
+    @staticmethod
+    def _record(offset, length, proc, fid):
+        return MetadataRecord(fid, offset, length, proc,
+                              float(offset + 1000 * proc),
+                              StorageTier.DRAM, 0)
+
+    @staticmethod
+    def _ship(md, cache, pending):
+        """The client's real ship step, on a stub driver."""
+        driver = SimpleNamespace(
+            system=SimpleNamespace(metadata=md, location_cache=cache),
+            telemetry=mock.Mock())
+        UniviStorDriver._ship_pending(driver, None, pending)
+
+    @staticmethod
+    def _per_record(md, cache, pending):
+        """Reference: ``insert_many(records)`` plus the cache insert that
+        cut every record again."""
+        records, _merges = coalesce_records(pending)
+        md.insert_many(records)
+        for record in records:
+            if cache.tracks(record.fid):
+                for piece in split_record(record, cache.range_size):
+                    apply_insert(cache._files, piece, cache.range_size)
+
+    @given(st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([8, 16, 32]),
+           st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+           st.lists(_pending, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_shipped_state_equals_per_record_path(self, n_servers,
+                                                  replication, range_size,
+                                                  splits, batches):
+        """Records crossing ranges, split (hotspot) ranges and an
+        untracked fid (2): every store, every journal and the cache
+        hold the same records as the per-record path."""
+        def build(ship):
+            md = MetadataService(n_servers, range_size,
+                                 replication=min(replication, n_servers))
+            for r in splits:
+                md.split_range(r)
+            cache = LocationCache(range_size)
+            cache.begin_file(1)
+            for batch in batches:
+                ship(md, cache, [self._record(*w) for w in batch])
+            return md._stores, md._journal, cache._files
+
+        assert build(self._ship) == build(self._per_record)
+
+    def test_each_shipped_record_is_cut_once(self):
+        md = MetadataService(4, 16, replication=2)
+        md.split_range(1)
+        cache = LocationCache(16)
+        cache.begin_file(1)
+        pending = [self._record(0, 40, 0, 1), self._record(40, 9, 1, 1),
+                   self._record(49, 30, 1, 1), self._record(100, 20, 0, 2)]
+        records, _merges = coalesce_records(pending)
+        assert len(records) == 3
+        with mock.patch.object(metadata_module, "split_record",
+                               wraps=split_record) as cut:
+            self._ship(md, cache, pending)
+        assert cut.call_count == len(records)
+
+    def test_collective_cuts_each_record_once(self):
+        """A whole collective through the driver: ``split_record`` runs
+        once per record ``insert_many`` receives, not once for the
+        stores and again for the cache."""
+        from repro import (IORequest, MachineSpec, PatternPayload,
+                           Simulation, UniviStorConfig)
+        sim = Simulation(MachineSpec.small_test(nodes=2))
+        sim.install_univistor(UniviStorConfig.dram_only(
+            metadata_range_size=int(16 * KB)))
+        comm = sim.comm("app", 4, procs_per_node=2)
+        assert sim.univistor.location_cache is not None
+        shipped = []
+        insert_many = MetadataService.insert_many
+
+        def spy(md, records, by_range=None):
+            shipped.append(len(records))
+            return insert_many(md, records, by_range)
+
+        def app():
+            fh = yield from sim.open(comm, "/f", "w", fstype="univistor")
+            yield from fh.write_at_all([
+                IORequest(r, r * 40 * KB, 40 * KB, PatternPayload(r))
+                for r in range(4)])
+
+        with mock.patch.object(metadata_module, "split_record",
+                               wraps=split_record) as cut, \
+                mock.patch.object(MetadataService, "insert_many", spy):
+            sim.run_to_completion(app())
+        assert shipped == [4]
+        assert cut.call_count == 4

@@ -1,17 +1,20 @@
 """Unit tests for the UniviStor server program (sessions, log plumbing)."""
 
 import math
+from unittest import mock
 
 import pytest
 
+from repro import IORequest, Simulation
 from repro.cluster.spec import MachineSpec
 from repro.cluster.topology import Machine
 from repro.core.config import StorageTier, UniviStorConfig
+from repro.core.metadata import MetadataUnavailableError
 from repro.core.server import SERVER_PROGRAM, UniviStorServers
 from repro.sim import Engine
 from repro.simmpi import Communicator
 from repro.storage.datamodel import PatternPayload
-from repro.units import MiB
+from repro.units import KiB, MiB
 
 
 def make_system(config=None, nodes=2):
@@ -246,3 +249,59 @@ class TestLayerPlans:
         assert dram.used == 0
         assert machine.bb_files.listdir("/univistor") == []
         assert self._log_paths(machine, session) == (False, False, False)
+
+
+class TestCollectivePlanLookup:
+    """A collective looks each node's layer plan up once; writers are
+    still created only for requests that pass their probe."""
+
+    RANGE = int(64 * KiB)
+
+    def _sim(self):
+        sim = Simulation(MachineSpec.small_test(nodes=2))
+        sim.install_univistor(UniviStorConfig.dram_bb(
+            metadata_range_size=self.RANGE))
+        return sim, sim.comm("app", 4, procs_per_node=2)
+
+    def _write(self, sim, comm, lengths):
+        requests = [IORequest(r, r * self.RANGE, length, PatternPayload(r))
+                    for r, length in enumerate(lengths)]
+
+        def app():
+            fh = yield from sim.open(comm, "/f", "w", fstype="univistor")
+            yield from fh.write_at_all(requests)
+
+        sim.run_to_completion(app())
+
+    def test_writers_share_the_plan_a_per_rank_lookup_picks(self):
+        sim, comm = self._sim()
+        system = sim.univistor
+        with mock.patch.object(UniviStorServers, "_plan_for", autospec=True,
+                               side_effect=UniviStorServers._plan_for
+                               ) as lookups:
+            self._write(sim, comm, [self.RANGE] * 4)
+        assert lookups.call_count == 2  # one per node, not one per rank
+        session = system.session("/f")
+        assert sorted(session.writers) == [0, 1, 2, 3]
+        for rank, writer in session.writers.items():
+            fresh = system._make_writer(session, comm, rank)
+            assert fresh.vas is writer.vas
+
+    def test_quota_between_collectives_gives_a_new_plan(self):
+        sim, comm = self._sim()
+        system = sim.univistor
+        self._write(sim, comm, [self.RANGE, 0, 0, 0])
+        system.set_bb_quota("app", 64 * MiB)
+        self._write(sim, comm, [0, self.RANGE, 0, 0])
+        writers = system.session("/f").writers
+        assert sorted(writers) == [0, 1]
+        assert writers[1].vas is not writers[0].vas
+        assert writers[1].vas.layer_capacity(1) == pytest.approx(16 * MiB)
+
+    def test_request_refused_by_its_probe_creates_no_writer(self):
+        sim, comm = self._sim()
+        system = sim.univistor
+        system.metadata.fail_server(2)  # the only server of rank 2's range
+        with pytest.raises(MetadataUnavailableError):
+            self._write(sim, comm, [self.RANGE] * 4)
+        assert sorted(system.session("/f").writers) == [0, 1]
