@@ -21,6 +21,7 @@ from repro.simulation import Simulation
 from repro.storage.datamodel import ExtentMap, PatternPayload
 from repro.units import KiB, MiB
 from repro.workloads import MicroBench
+from repro.workloads.vpic import VpicIO
 
 
 class TestKernelThroughput:
@@ -138,6 +139,58 @@ class TestMetadataFastPath:
             return total
 
         assert benchmark(run) > 0
+
+    def test_route_table_reuse(self, monkeypatch):
+        """A 1024-proc VPIC-IO checkpoint (8 collective writes): each
+        range's write ackers are computed at most once per routing
+        generation — the per-request probes fill the route table — and
+        never inside ``insert_many``, whose per-range check is a table
+        hit."""
+        compute = MetadataService._compute_ackers
+        insert_many = MetadataService.insert_many
+        probe = MetadataService.write_target_servers
+        computed = []
+        touched = set()
+        probes = []
+        inside = [False]
+
+        def counting_compute(md, range_index, offset):
+            computed.append((range_index, md.generation, inside[0]))
+            return compute(md, range_index, offset)
+
+        def flagged_insert_many(md, *args, **kwargs):
+            inside[0] = True
+            try:
+                return insert_many(md, *args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def noting_probe(md, fid, offset, length):
+            probes.append(offset)
+            touched.update(range(int(offset // md.range_size),
+                                 int((offset + length - 1)
+                                     // md.range_size) + 1))
+            return probe(md, fid, offset, length)
+
+        monkeypatch.setattr(MetadataService, "_compute_ackers",
+                            counting_compute)
+        monkeypatch.setattr(MetadataService, "insert_many",
+                            flagged_insert_many)
+        monkeypatch.setattr(MetadataService, "write_target_servers",
+                            noting_probe)
+        procs = 1024
+        sim, fstype = build_simulation(procs, "UniviStor/(DRAM+BB)")
+        comm = sim.comm("vpic", size=procs)
+        vpic = VpicIO(sim, comm, fstype, steps=1, compute_seconds=0.0,
+                      particles_per_proc=1 << 20)
+        sim.run_to_completion(vpic.run(sync_last=False))
+
+        assert len(probes) == 8 * procs  # one probe per request
+        assert not [c for c in computed if c[2]]
+        per_generation = [(r, gen) for r, gen, _inside in computed]
+        assert len(per_generation) == len(set(per_generation))
+        assert {r for r, _gen in per_generation} <= touched
+        assert len(computed) <= len(touched)
 
 
 class TestHotRangeThroughput:

@@ -415,7 +415,11 @@ class UniviStorDriver(ADIODriver):
         per-range contacts, failover telemetry and unavailability
         errors), only the store search is skipped.  Old records found
         here are this write's overwrite victims: the write-through
-        supersede invalidates their cache entries.
+        supersede invalidates their cache entries.  The overwrite check
+        prices nothing, so that call runs only for its side effects and
+        is skipped while read routing is silent
+        (:meth:`~repro.core.metadata.MetadataService.read_routing_silent`:
+        it can then neither raise nor leave a trace).
         """
         metadata = self.system.metadata
         cache = self.system.location_cache
@@ -423,7 +427,9 @@ class UniviStorDriver(ADIODriver):
         if cache is not None:
             old = cache.lookup(session.fid, req.offset, req.length)
         if old is not None:
-            metadata.read_servers_for(session.fid, req.offset, req.length)
+            if not metadata.read_routing_silent():
+                metadata.read_servers_for(session.fid, req.offset,
+                                          req.length)
             self.telemetry.incr("cache-hit")
             if old:
                 self.telemetry.incr("cache-invalidate")

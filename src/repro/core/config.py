@@ -19,6 +19,11 @@ class StorageTier(enum.Enum):
     SHARED_BB = "shared_bb"
     PFS = "pfs"
 
+    # Members are singletons and compare by identity, so identity hashing
+    # is consistent with equality; ``Enum.__hash__`` re-hashes the member
+    # name in Python on every tier-keyed dict or set operation.
+    __hash__ = object.__hash__
+
     # ``is_node_local`` is consulted per metadata record on the read hot
     # path; a plain member attribute (filled in below) beats recomputing
     # tuple membership on every access.

@@ -1,5 +1,7 @@
 """Unit tests for UniviStorConfig."""
 
+import pickle
+
 import pytest
 
 from repro.core.config import StorageTier, UniviStorConfig
@@ -15,6 +17,24 @@ class TestStorageTier:
     def test_shared_is_complement(self):
         for tier in StorageTier:
             assert tier.is_shared != tier.is_node_local
+
+    def test_identity_hashing_keeps_enum_behaviour(self):
+        # Members hash by identity (the hot paths key dicts and sets on
+        # tiers); lookups, equality, value lookup and pickling behave as
+        # with Enum's name hashing.
+        assert StorageTier.__hash__ is object.__hash__
+        tiers = list(StorageTier)
+        by_tier = {tier: tier.value for tier in tiers}
+        keyed = {(7, tier) for tier in tiers}
+        for tier in tiers:
+            assert hash(tier) == object.__hash__(tier)
+            assert by_tier[StorageTier(tier.value)] == tier.value
+            assert (7, StorageTier[tier.name]) in keyed
+            assert pickle.loads(pickle.dumps(tier)) is tier
+            assert tier == StorageTier(tier.value)
+            assert tier != tier.value
+        assert len(set(tiers)) == len(tiers) == 4
+        assert {StorageTier.DRAM, StorageTier.DRAM} == {StorageTier.DRAM}
 
 
 class TestUniviStorConfig:

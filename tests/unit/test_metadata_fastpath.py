@@ -12,6 +12,7 @@ from repro.core import location_cache as location_cache_module
 from repro.core import metadata as metadata_module
 from repro.core.client import UniviStorDriver
 from repro.core.config import StorageTier
+from repro.core.errors import DataLossError
 from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
                                  MetadataUnavailableError, QuorumLostError,
@@ -588,3 +589,84 @@ class TestCutOnce:
             sim.run_to_completion(app())
         assert shipped == [4]
         assert cut.call_count == 4
+
+
+def _records_of_by_set_dedup(md, fid):
+    """``records_of`` as a dedup of every eligible copy: every record of
+    every live, reachable server outside its fenced ranges, hashed into
+    one set.  Sorted by ``(offset, proc_id)`` as before, with ties broken
+    by length and VA: they arise in a split range, where a member holding
+    two adjacent sub-ranges merges records across their boundary, and
+    were otherwise left in set iteration (hash) order."""
+    seen = set()
+    for server, store in enumerate(md._stores):
+        if server in md.failed_servers or server in md.unreachable_servers:
+            continue
+        entry = store.get(fid)
+        if not entry:
+            continue
+        fenced = {r for r, members in md._stale.items() if server in members}
+        seen.update(r for r in entry[1]
+                    if int(r.offset // md.range_size) not in fenced)
+    return sorted(seen, key=lambda r: (r.offset, r.proc_id, r.length, r.va))
+
+
+class TestRecordsOfOneCopy:
+    """``records_of`` reads each unsplit range from one eligible copy and
+    still returns what deduplicating every eligible copy returns."""
+
+    RANGE = 16
+    _server = st.integers(min_value=0, max_value=4)
+    _batch = st.lists(st.tuples(st.integers(min_value=0, max_value=63),
+                                st.integers(min_value=1, max_value=24),
+                                st.integers(min_value=0, max_value=2),
+                                st.sampled_from([1, 1, 2])),
+                      min_size=1, max_size=5)
+    _ops = st.lists(st.one_of(
+        st.tuples(st.just("insert"), _batch),
+        st.tuples(st.sampled_from(["fail", "cut", "heal", "recover"]),
+                  _server),
+        st.tuples(st.sampled_from(["split", "merge"]),
+                  st.integers(min_value=0, max_value=3))),
+        min_size=1, max_size=14)
+
+    @given(st.integers(min_value=2, max_value=5),
+           st.integers(min_value=1, max_value=3), st.booleans(),
+           st.integers(min_value=0, max_value=2), _ops)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_set_dedup(self, n_servers, replication, quorum,
+                              threshold, ops):
+        """Replication 1-3, failed and unreachable servers, fences from
+        lagging quorum writes and takeovers, and split ranges."""
+        md = MetadataService(n_servers, self.RANGE, replication=replication,
+                             checkpoint_threshold=threshold, quorum=quorum)
+        for op, arg in ops:
+            try:
+                if op == "insert":
+                    md.insert_many([rec(offset, length, proc=proc, fid=fid)
+                                    for offset, length, proc, fid in arg])
+                elif op == "fail":
+                    md.fail_server(arg % n_servers)
+                elif op == "cut":
+                    md.set_unreachable(arg % n_servers)
+                elif op == "heal":
+                    md.set_reachable(arg % n_servers)
+                elif op == "recover":
+                    md.recover_server(arg % n_servers)
+                elif op == "split":
+                    md.split_range(arg)
+                else:
+                    md.merge_range(arg)
+            except DataLossError:
+                pass
+            for fid in (1, 2):
+                assert md.records_of(fid) == _records_of_by_set_dedup(md,
+                                                                      fid)
+
+    def test_replicas_are_not_hashed(self):
+        md = MetadataService(4, self.RANGE, replication=3)
+        md.insert_many([rec(i * 8, 8, proc=i % 2) for i in range(8)])
+        with mock.patch.object(MetadataRecord, "__hash__",
+                               side_effect=AssertionError("hashed")):
+            records = md.records_of(1)
+        assert [r.offset for r in records] == [i * 8 for i in range(8)]
