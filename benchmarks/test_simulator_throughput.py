@@ -10,6 +10,9 @@ full-stack micro-benchmark at two scales.
 import numpy as np
 
 from repro.cluster.spec import MachineSpec
+from repro.core import client as client_module
+from repro.core import location_cache as location_cache_module
+from repro.core import metadata as metadata_module
 from repro.core.config import StorageTier, UniviStorConfig
 from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
@@ -191,6 +194,59 @@ class TestMetadataFastPath:
         assert len(per_generation) == len(set(per_generation))
         assert {r for r, _gen in per_generation} <= touched
         assert len(computed) <= len(touched)
+
+    def test_one_apply_per_store_range(self, monkeypatch):
+        """A 1024-proc VPIC-IO checkpoint: each shipped range reaches
+        each acker's store in one ``apply_insert`` call and the location
+        cache in one more, and ``MetadataRecord.__post_init__`` runs
+        once per record the client builds — cut pieces, merges and
+        slices skip it."""
+        apply_insert = metadata_module.apply_insert
+        insert_many = MetadataService.insert_many
+        coalesce = client_module.coalesce_records
+        post_init = MetadataRecord.__post_init__
+        counts = {"applies": 0, "expected": 0, "built": 0, "validated": 0}
+
+        def counting_apply(store, pieces, range_size):
+            counts["applies"] += 1
+            return apply_insert(store, pieces, range_size)
+
+        def noting_insert_many(md, records, by_range=None):
+            assert by_range is not None  # the client cuts once
+            touched = insert_many(md, records, by_range)
+            for range_index in by_range:
+                # Ackers from the route table: unsplit, no side effects.
+                counts["expected"] += len(md._ackers[range_index]) + 1
+            return touched
+
+        def noting_coalesce(pending):
+            counts["built"] += len(pending)
+            return coalesce(pending)
+
+        def counting_post_init(record):
+            counts["validated"] += 1
+            post_init(record)
+
+        monkeypatch.setattr(metadata_module, "apply_insert", counting_apply)
+        monkeypatch.setattr(location_cache_module, "apply_insert",
+                            counting_apply)
+        monkeypatch.setattr(MetadataService, "insert_many",
+                            noting_insert_many)
+        monkeypatch.setattr(client_module, "coalesce_records",
+                            noting_coalesce)
+        monkeypatch.setattr(MetadataRecord, "__post_init__",
+                            counting_post_init)
+        procs = 1024
+        sim, fstype = build_simulation(procs, "UniviStor/(DRAM+BB)")
+        assert sim.univistor.location_cache is not None
+        comm = sim.comm("vpic", size=procs)
+        vpic = VpicIO(sim, comm, fstype, steps=1, compute_seconds=0.0,
+                      particles_per_proc=1 << 20)
+        sim.run_to_completion(vpic.run(sync_last=False))
+
+        assert counts["built"] >= 8 * procs
+        assert counts["applies"] == counts["expected"]
+        assert counts["validated"] == counts["built"]
 
 
 class TestHotRangeThroughput:

@@ -191,11 +191,9 @@ class UniviStorDriver(ADIODriver):
                 records = []
                 for seg in segments:
                     records.append(MetadataRecord(
-                        fid=session.fid, offset=seg.logical_offset,
-                        length=seg.length, proc_id=req.rank, va=seg.va,
-                        tier=seg.tier,
-                        node_id=(node.node_id if seg.tier.is_node_local
-                                 else None)))
+                        session.fid, seg.logical_offset, seg.length,
+                        req.rank, seg.va, seg.tier,
+                        node.node_id if seg.tier.is_node_local else None))
                     if seg.tier.is_node_local:
                         key = (node.node_id, seg.tier)
                         local_bytes_by_node[key] = (

@@ -105,8 +105,8 @@ def _mergeable(prev: "MetadataRecord", cur: "MetadataRecord") -> bool:
 
 
 def _merge(prev: "MetadataRecord", cur: "MetadataRecord") -> "MetadataRecord":
-    return MetadataRecord(prev.fid, prev.offset, prev.length + cur.length,
-                          prev.proc_id, prev.va, prev.tier, prev.node_id)
+    return _derived(prev.fid, prev.offset, prev.length + cur.length,
+                    prev.proc_id, prev.va, prev.tier, prev.node_id)
 
 
 def coalesce_records(
@@ -134,20 +134,25 @@ def coalesce_records(
 
 def split_record(record: "MetadataRecord",
                  range_size: float) -> Sequence["MetadataRecord"]:
-    """Split a record at range boundaries so each piece has one owner.
+    """Split a record at range boundaries so each piece has one owner;
+    the pieces lie in consecutive ranges, the first in the record's.
 
     A record already inside one range — every piece of an aligned
     collective write — comes back unchanged, not copied.
     """
-    start = record.offset
+    start = offset = record.offset
     end = start + record.length
-    if int(start // range_size) == int((end - 1) // range_size):
+    index = int(start // range_size)
+    if index == int((end - 1) // range_size):
         return (record,)
+    fid, proc_id, va = record.fid, record.proc_id, record.va
+    tier, node_id = record.tier, record.node_id
     pieces = []
     while start < end:
-        boundary = int((int(start // range_size) + 1) * range_size)
-        cut = min(end, boundary)
-        pieces.append(record.slice(start, cut))
+        index += 1
+        cut = min(end, int(index * range_size))
+        pieces.append(_derived(fid, start, cut - start, proc_id,
+                               va + (start - offset), tier, node_id))
         start = cut
     return pieces
 
@@ -163,13 +168,14 @@ def pieces_by_range(records: Iterable["MetadataRecord"], range_size: float
     each record once and hands the grouping to both."""
     by_range: Dict[int, List[MetadataRecord]] = {}
     for record in records:
+        index = int(record.offset // range_size)
         for piece in split_record(record, range_size):
-            index = int(piece.offset // range_size)
             pieces = by_range.get(index)
             if pieces is None:
                 by_range[index] = [piece]
             else:
                 pieces.append(piece)
+            index += 1
     return by_range
 
 
@@ -192,35 +198,45 @@ def record_runs(records: Iterable["MetadataRecord"]
 
 
 def apply_insert(store: Dict[int, Tuple[List[int], List["MetadataRecord"]]],
-                 piece: "MetadataRecord", range_size: float) -> None:
-    """Insert one range-local piece into a ``fid -> (starts, records)``
-    interval store: trim/remove overlapped records (an overwrite
-    supersedes them), then merge the seams the insert created, never
-    across a range boundary.
+                 pieces: Iterable["MetadataRecord"],
+                 range_size: float) -> None:
+    """Insert range-local pieces, in order, into a ``fid -> (starts,
+    records)`` interval store.  Each piece trims or removes the records
+    it overlaps (an overwrite supersedes them), then the seams it
+    created merge, never across a range boundary.  The result is the
+    store that applying the pieces one at a time leaves; callers pass a
+    whole range's pieces (they may be unsorted, overlap one another and
+    mix fids) in one call.
 
-    Shared by the authoritative per-server stores and the client-side
-    :class:`~repro.core.location_cache.LocationCache`, so both views hold
-    byte-identical record lists by construction.
+    Shared by the authoritative per-server stores, the journal
+    checkpoint's scratch replay and the client-side
+    :class:`~repro.core.location_cache.LocationCache`, so every view
+    holds byte-identical record lists by construction.
     """
-    entry = store.get(piece.fid)
-    if entry is None:
-        entry = store[piece.fid] = ([], [])
-    starts, recs = entry
-    if recs and piece.offset < recs[-1].end:
-        _splice_insert(starts, recs, piece, range_size)
-        return
-    # Tail append (the in-order case of every collective write): nothing
-    # to trim, and the only seam the insert creates is with the last
-    # record — the same in-range merge rule as the splice path.
-    if recs:
-        prev = recs[-1]
-        if (_mergeable(prev, piece)
-                and int(prev.offset // range_size)
-                == int((piece.end - 1) // range_size)):
-            recs[-1] = _merge(prev, piece)
-            return
-    recs.append(piece)
-    starts.append(piece.offset)
+    fid = None
+    for piece in pieces:
+        if piece.fid != fid:
+            fid = piece.fid
+            entry = store.get(fid)
+            if entry is None:
+                entry = store[fid] = ([], [])
+            starts, recs = entry
+        if recs:
+            prev = recs[-1]
+            if piece.offset < prev.offset + prev.length:
+                _splice_insert(starts, recs, piece, range_size)
+                continue
+            # Tail append (the in-order case of every collective write):
+            # nothing to trim, and the only seam the insert creates is
+            # with the last record — the same in-range merge rule as the
+            # splice path.
+            if (_mergeable(prev, piece)
+                    and int(prev.offset // range_size)
+                    == int((piece.end - 1) // range_size)):
+                recs[-1] = _merge(prev, piece)
+                continue
+        recs.append(piece)
+        starts.append(piece.offset)
 
 
 def _splice_insert(starts: List[int], recs: List["MetadataRecord"],
@@ -236,9 +252,9 @@ def _splice_insert(starts: List[int], recs: List["MetadataRecord"],
     while hi < len(recs) and recs[hi].offset < piece.end:
         old = recs[hi]
         if old.offset < piece.offset:
-            keep_left = old.slice(old.offset, piece.offset)
+            keep_left = _cut(old, old.offset, piece.offset)
         if old.end > piece.end:
-            keep_right = old.slice(piece.end, old.end)
+            keep_right = _cut(old, piece.end, old.end)
         hi += 1
     replacement = [r for r in (keep_left, piece, keep_right)
                    if r is not None]
@@ -291,11 +307,44 @@ class MetadataRecord:
         if not (self.offset <= start < end <= self.offset + self.length):
             raise ValueError(f"slice [{start}, {end}) outside record "
                              f"[{self.offset}, {self.end})")
-        # Direct construction: dataclasses.replace re-introspects fields
-        # on every call and slice() sits on the lookup/insert hot paths.
-        return MetadataRecord(self.fid, start, end - start, self.proc_id,
-                              self.va + (start - self.offset), self.tier,
-                              self.node_id)
+        # A slice of a valid record is valid once the bounds check has
+        # passed, so it skips the validating constructor: slice() sits
+        # on the lookup/insert hot paths.
+        return _cut(self, start, end)
+
+
+# The module-private constructor of records derived from a valid record
+# (a slice, a cut piece, a merge): ``object.__new__`` plus the slot
+# descriptors' ``__set__``, about half the cost of ``__init__`` and
+# ``__post_init__``.  Only for fields that already passed validation (a
+# non-negative offset and a positive length); the public constructor
+# still validates.
+(_set_fid, _set_offset, _set_length, _set_proc_id, _set_va, _set_tier,
+ _set_node_id) = (MetadataRecord.__dict__[name].__set__
+                  for name in ("fid", "offset", "length", "proc_id", "va",
+                               "tier", "node_id"))
+
+
+def _derived(fid: int, offset: int, length: int, proc_id: int, va: float,
+             tier: StorageTier, node_id: Optional[int]) -> MetadataRecord:
+    rec = object.__new__(MetadataRecord)
+    _set_fid(rec, fid)
+    _set_offset(rec, offset)
+    _set_length(rec, length)
+    _set_proc_id(rec, proc_id)
+    _set_va(rec, va)
+    _set_tier(rec, tier)
+    _set_node_id(rec, node_id)
+    return rec
+
+
+def _cut(record: MetadataRecord, start: int, end: int) -> MetadataRecord:
+    """:meth:`MetadataRecord.slice` without its bounds check, for callers
+    whose ``[start, end)`` lies inside ``record`` by construction; the
+    VA advances by the same arithmetic."""
+    return _derived(record.fid, start, end - start, record.proc_id,
+                    record.va + (start - record.offset), record.tier,
+                    record.node_id)
 
 
 class MetadataService:
@@ -808,8 +857,10 @@ class MetadataService:
         :meth:`_write_ackers`); then the range's pieces are journaled
         with one ``extend`` (after the check: a rejected write must not
         be resurrected by a later takeover replay), applied on every
-        acker, live members that missed them are fenced as stale, and
-        the journal may checkpoint.
+        acker (one :func:`apply_insert` call per acker; a split range's
+        pieces one call each, on their sub-ranges' ackers), live members
+        that missed them are fenced as stale, and the journal may
+        checkpoint.
 
         The first range that cannot ack raises, with the fid, offset and
         length of the refused piece attached.  Every earlier range stays
@@ -820,7 +871,7 @@ class MetadataService:
             by_range = pieces_by_range(records, self.range_size)
         splits = self._splits
         touched: Set[int] = set()
-        insert = self._insert_piece
+        insert = self._insert_pieces
         for range_index, pieces in by_range.items():
             subs = splits.get(range_index)
             split = subs is not None
@@ -849,7 +900,7 @@ class MetadataService:
                 for piece, ackers in zip(pieces, per_piece):
                     for server in ackers:
                         touched.add(server)
-                        insert(server, piece)
+                        insert(server, range_index, (piece,))
                     if self.unreachable_servers or self._stale:
                         self._mark_missed(
                             range_index, ackers,
@@ -857,25 +908,28 @@ class MetadataService:
             else:
                 for server in ackers:
                     touched.add(server)
-                    for piece in pieces:
-                        insert(server, piece)
+                    insert(server, range_index, pieces)
                 if self.unreachable_servers or self._stale:
                     self._mark_missed(range_index, ackers)
             self._maybe_checkpoint(range_index)
         return touched
 
-    def _insert_piece(self, server: int, piece: MetadataRecord) -> None:
-        if self._stale:
+    def _insert_pieces(self, server: int, range_index: int,
+                       pieces: Sequence[MetadataRecord]) -> None:
+        """Apply one range's pieces to the server's store in one
+        :func:`apply_insert` call."""
+        if self._stale and server in self._stale.get(range_index, ()):
             # Fencing enforcement point: a stale-epoch copy refuses the
             # write even if some path routes one here — the rebuilt
-            # journal replay is the only way back to currency.
-            range_index = int(piece.offset // self.range_size)
-            if server in self._stale.get(range_index, ()):
-                self.fence_rejections += 1
-                if self.on_fence_reject is not None:
+            # journal replay is the only way back to currency.  The
+            # check is per (server, range); each refused piece still
+            # counts and reports once.
+            self.fence_rejections += len(pieces)
+            if self.on_fence_reject is not None:
+                for _piece in pieces:
                     self.on_fence_reject(range_index, server)
-                return
-        apply_insert(self._stores[server], piece, self.range_size)
+            return
+        apply_insert(self._stores[server], pieces, self.range_size)
 
     # -- journal checkpointing ---------------------------------------------
     def _maybe_checkpoint(self, range_index: int) -> None:
@@ -904,10 +958,8 @@ class MetadataService:
                     or server in stale):
                 return
         scratch: Dict[int, Tuple[List[int], List[MetadataRecord]]] = {}
-        for piece in self._checkpoints.get(range_index, ()):
-            apply_insert(scratch, piece, self.range_size)
-        for piece in journal:
-            apply_insert(scratch, piece, self.range_size)
+        apply_insert(scratch, self.journal_records(range_index),
+                     self.range_size)
         snapshot: List[MetadataRecord] = []
         for f in sorted(scratch):
             snapshot.extend(scratch[f][1])
@@ -1112,18 +1164,16 @@ class MetadataService:
         re-replication and migration.  Returns pieces applied (the
         handoff volume)."""
         self._drop_span(server, lo, hi)
-        applied = 0
-        for source in (self._checkpoints.get(range_index, ()),
-                       self._journal.get(range_index, ())):
-            for piece in source:
-                if piece.end <= lo or piece.offset >= hi:
-                    continue
-                if piece.offset < lo or piece.end > hi:
-                    piece = piece.slice(max(piece.offset, lo),
-                                        min(piece.end, hi))
-                self._insert_piece(server, piece)
-                applied += 1
-        return applied
+        pieces: List[MetadataRecord] = []
+        for piece in self.journal_records(range_index):
+            if piece.end <= lo or piece.offset >= hi:
+                continue
+            if piece.offset < lo or piece.end > hi:
+                piece = piece.slice(max(piece.offset, lo),
+                                    min(piece.end, hi))
+            pieces.append(piece)
+        self._insert_pieces(server, range_index, pieces)
+        return len(pieces)
 
     # -- hotspot mitigation ops (docs/MODEL.md §11) ------------------------
     def sub_ranges(self, range_index: int) -> List[Tuple[int, List[int]]]:

@@ -1,6 +1,7 @@
 """Metadata fast path: batched inserts, coalescing, in-store compaction
 and journal checkpoint + truncation (docs/MODEL.md §9)."""
 
+import dataclasses
 from types import SimpleNamespace
 from unittest import mock
 
@@ -401,10 +402,12 @@ class TestInsertManyContract:
 
     # -- in-order (tail-append) fast path ------------------------------
     @staticmethod
-    def _general_apply_insert(store, piece, range_size):
-        """``apply_insert`` with its tail-append fast path bypassed."""
-        starts, recs = store.setdefault(piece.fid, ([], []))
-        metadata_module._splice_insert(starts, recs, piece, range_size)
+    def _general_apply_insert(store, pieces, range_size):
+        """``apply_insert`` with its tail-append fast path bypassed:
+        every piece of the range goes through the splice."""
+        for piece in pieces:
+            starts, recs = store.setdefault(piece.fid, ([], []))
+            metadata_module._splice_insert(starts, recs, piece, range_size)
 
     @staticmethod
     def _in_order(steps, cursor):
@@ -517,8 +520,9 @@ class TestCutOnce:
         md.insert_many(records)
         for record in records:
             if cache.tracks(record.fid):
-                for piece in split_record(record, cache.range_size):
-                    apply_insert(cache._files, piece, cache.range_size)
+                apply_insert(cache._files,
+                             split_record(record, cache.range_size),
+                             cache.range_size)
 
     @given(st.integers(min_value=1, max_value=5),
            st.integers(min_value=1, max_value=3),
@@ -670,3 +674,273 @@ class TestRecordsOfOneCopy:
                                side_effect=AssertionError("hashed")):
             records = md.records_of(1)
         assert [r.offset for r in records] == [i * 8 for i in range(8)]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "records_of on a split range unions copies that compacted "
+        "differently: a member holding two adjacent sub-ranges merges "
+        "across their boundary while a member holding one keeps the "
+        "piece, so the union overlaps"))
+    def test_split_range_records_do_not_overlap(self):
+        md = MetadataService(4, self.RANGE, replication=2)
+        md.fail_server(0)
+        md.split_range(1)
+        md.insert_many([rec(0, 1), rec(16, 16)])
+        records = md.records_of(1)
+        assert all(a.end <= b.offset for a, b in zip(records, records[1:]))
+
+
+def _per_piece_insert(md, server, range_index, pieces):
+    """``MetadataService._insert_pieces`` one piece at a time: the fence
+    check and the ``apply_insert`` call run once per piece."""
+    for piece in pieces:
+        index = int(piece.offset // md.range_size)
+        if md._stale and server in md._stale.get(index, ()):
+            md.fence_rejections += 1
+            if md.on_fence_reject is not None:
+                md.on_fence_reject(index, server)
+            continue
+        apply_insert(md._stores[server], [piece], md.range_size)
+
+
+class TestOneApplyPerRange:
+    """A store applies one range's pieces in one :func:`apply_insert`
+    call, and ends where per-piece application ends (docs/MODEL.md §9)."""
+
+    RANGE = 16
+    # (offset, length, proc, fid): unsorted, overlapping, two fids, and
+    # per-writer contiguous VAs so neighbours merge at the seams.
+    _writes = st.lists(st.tuples(st.integers(min_value=0, max_value=47),
+                                 st.integers(min_value=1, max_value=20),
+                                 st.integers(min_value=0, max_value=2),
+                                 st.sampled_from([1, 1, 2])),
+                       max_size=10)
+
+    @staticmethod
+    def _records(writes):
+        return [rec(offset, length, proc=proc, fid=fid)
+                for offset, length, proc, fid in writes]
+
+    @given(_writes, st.lists(_writes, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_range_call_equals_per_piece(self, before, batches):
+        """Each batch, cut and grouped per range, goes in one call per
+        range; the reference applies every piece alone, once through
+        ``apply_insert`` and once through the general splice."""
+        one_call, per_piece, spliced = {}, {}, {}
+        prior = [piece for record in self._records(before)
+                 for piece in split_record(record, self.RANGE)]
+        for store in (one_call, per_piece, spliced):
+            apply_insert(store, prior, self.RANGE)
+        for batch in batches:
+            by_range = pieces_by_range(self._records(batch), self.RANGE)
+            for pieces in by_range.values():
+                apply_insert(one_call, pieces, self.RANGE)
+                for piece in pieces:
+                    apply_insert(per_piece, [piece], self.RANGE)
+                    starts, recs = spliced.setdefault(piece.fid, ([], []))
+                    metadata_module._splice_insert(starts, recs, piece,
+                                                   self.RANGE)
+        assert one_call == per_piece == spliced
+        for starts, recs in one_call.values():
+            assert starts == [r.offset for r in recs]
+
+    _server = st.integers(min_value=0, max_value=4)
+    _ops = st.lists(st.one_of(
+        st.tuples(st.just("insert"), _writes),
+        st.tuples(st.sampled_from(["fail", "cut", "heal", "recover",
+                                   "repair"]), _server),
+        st.tuples(st.just("fence"), st.tuples(
+            st.integers(min_value=0, max_value=3), _server)),
+        st.tuples(st.sampled_from(["split", "merge"]),
+                  st.integers(min_value=0, max_value=3))),
+        min_size=1, max_size=14)
+
+    @given(st.integers(min_value=2, max_value=5),
+           st.integers(min_value=1, max_value=3), st.booleans(),
+           st.integers(min_value=0, max_value=2), st.booleans(), _ops)
+    @settings(max_examples=300, deadline=None)
+    def test_fencing_matches_per_piece(self, n_servers, replication,
+                                       quorum, threshold, to_fenced, ops):
+        """Takeovers, partitions, read-repair, split ranges and direct
+        fences; with ``to_fenced`` every live member is routed a write,
+        fenced copies included, so the store-side fence refuses pieces.
+        Stores, journals, ``fence_rejections`` and the
+        ``on_fence_reject`` call sequence match per-piece application."""
+        def build():
+            md = MetadataService(n_servers, self.RANGE,
+                                 replication=replication,
+                                 checkpoint_threshold=threshold,
+                                 quorum=quorum)
+            log = []
+            md.on_fence_reject = lambda r, s: log.append((r, s))
+            for op, arg in ops:
+                try:
+                    if op == "insert":
+                        md.insert_many(self._records(arg))
+                    elif op == "fail":
+                        md.fail_server(arg % n_servers)
+                    elif op == "cut":
+                        md.set_unreachable(arg % n_servers)
+                    elif op == "heal":
+                        md.set_reachable(arg % n_servers)
+                    elif op == "recover":
+                        md.recover_server(arg % n_servers)
+                    elif op == "repair":
+                        # A lookup on a quorum service read-repairs.
+                        md.lookup(1, (arg % 4) * self.RANGE, self.RANGE)
+                    elif op == "fence":
+                        md._fence(arg[0], arg[1] % n_servers)
+                    elif op == "split":
+                        md.split_range(arg)
+                    else:
+                        md.merge_range(arg)
+                except DataLossError:
+                    pass
+            return (md._stores, md._journal, md._checkpoints,
+                    md.fence_rejections, log)
+
+        def every_live_member(md, range_index, offset=None):
+            ackers = tuple(s for s in md._members_at(range_index, offset)
+                           if s not in md.failed_servers)
+            if not ackers:
+                raise MetadataUnavailableError("no live member")
+            return ackers
+
+        patches = []
+        if to_fenced:
+            patches.append(mock.patch.object(
+                MetadataService, "_write_ackers", every_live_member))
+        for patch in patches:
+            patch.start()
+        try:
+            got = build()
+            with mock.patch.object(MetadataService, "_insert_pieces",
+                                   _per_piece_insert):
+                want = build()
+        finally:
+            for patch in patches:
+                patch.stop()
+        assert got == want
+
+    def test_fenced_copy_counts_every_refused_piece(self):
+        md = MetadataService(2, self.RANGE, replication=2)
+        log = []
+        md.on_fence_reject = lambda r, s: log.append((r, s))
+        md._fence(0, 1)
+        md._insert_pieces(1, 0, [rec(0, 4), rec(8, 4), rec(4, 2)])
+        assert md.fence_rejections == 3
+        assert log == [(0, 1)] * 3
+        assert md._stores[1] == {}
+
+
+class TestDerivedRecords:
+    """Slices, cut pieces, merges and splice remnants skip the validating
+    constructor, yet are the records it would build."""
+
+    _record = st.tuples(st.integers(min_value=0, max_value=3),
+                        st.integers(min_value=0, max_value=200),
+                        st.integers(min_value=1, max_value=100),
+                        st.integers(min_value=0, max_value=3),
+                        st.one_of(st.integers(min_value=0, max_value=10**6),
+                                  st.floats(min_value=0, max_value=1e12)),
+                        st.sampled_from(list(StorageTier)),
+                        st.one_of(st.none(),
+                                  st.integers(min_value=0, max_value=7)))
+
+    @staticmethod
+    def _validated(record):
+        return MetadataRecord(record.fid, record.offset, record.length,
+                              record.proc_id, record.va, record.tier,
+                              record.node_id)
+
+    def _assert_like_validated(self, record):
+        twin = self._validated(record)
+        assert record == twin
+        assert hash(record) == hash(twin)
+        assert repr(record) == repr(twin)
+
+    @given(_record, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_derived_records_equal_validated_ones(self, fields, data):
+        record = MetadataRecord(*fields)
+        start = data.draw(st.integers(min_value=record.offset,
+                                      max_value=record.end - 1))
+        end = data.draw(st.integers(min_value=start + 1,
+                                    max_value=record.end))
+        piece = record.slice(start, end)
+        self._assert_like_validated(piece)
+        assert piece == MetadataRecord(
+            record.fid, start, end - start, record.proc_id,
+            record.va + (start - record.offset), record.tier,
+            record.node_id)
+        size = data.draw(st.sampled_from([8, 16, 64]))
+        for cut in split_record(record, size):
+            self._assert_like_validated(cut)
+        after = MetadataRecord(record.fid, record.end, 5, record.proc_id,
+                               record.va + record.length, record.tier,
+                               record.node_id)
+        merged, merges = coalesce_records([record, after])
+        assert merges == 1
+        self._assert_like_validated(merged[0])
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=60),
+                              st.integers(min_value=1, max_value=30),
+                              st.integers(min_value=0, max_value=1)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_stored_records_equal_validated_ones(self, writes):
+        """Trimmed remnants and seam merges left in a store."""
+        store = {}
+        for offset, length, proc in writes:
+            apply_insert(store, split_record(rec(offset, length, proc=proc),
+                                             16), 16)
+        for _starts, recs in store.values():
+            for record in recs:
+                self._assert_like_validated(record)
+
+    def test_derived_records_stay_frozen(self):
+        record = rec(0, 32)
+        derived = [record.slice(4, 8), split_record(record, 16)[1],
+                   coalesce_records([record, rec(32, 8)])[0][0]]
+        for piece in derived:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                piece.offset = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del piece.va
+
+    def test_validation_still_raises(self):
+        with pytest.raises(ValueError):
+            MetadataRecord(1, -1, 4, 0, 0.0, StorageTier.DRAM, 0)
+        with pytest.raises(ValueError):
+            MetadataRecord(1, 0, 0, 0, 0.0, StorageTier.DRAM, 0)
+        for start, end in ((2, 9), (-1, 4), (4, 4), (6, 5), (0, 9)):
+            with pytest.raises(ValueError):
+                rec(0, 8).slice(start, end)
+
+    def test_client_builds_validated_records_only(self):
+        """Only the records the client builds run ``__post_init__``: a
+        collective crossing range boundaries ships 4 records, cut into
+        more pieces, and none of the pieces is validated again."""
+        from repro import (IORequest, MachineSpec, PatternPayload,
+                           Simulation, UniviStorConfig)
+        sim = Simulation(MachineSpec.small_test(nodes=2))
+        sim.install_univistor(UniviStorConfig.dram_only(
+            metadata_range_size=int(16 * KB)))
+        comm = sim.comm("app", 4, procs_per_node=2)
+        validated = []
+        post_init = MetadataRecord.__post_init__
+
+        def counting(record):
+            validated.append(record)
+            post_init(record)
+
+        def app():
+            fh = yield from sim.open(comm, "/f", "w", fstype="univistor")
+            yield from fh.write_at_all([
+                IORequest(r, r * 40 * KB, 40 * KB, PatternPayload(r))
+                for r in range(4)])
+
+        with mock.patch.object(MetadataRecord, "__post_init__", counting):
+            sim.run_to_completion(app())
+        assert len(validated) == 4
+        assert sim.univistor.metadata.record_count > 4
