@@ -14,6 +14,7 @@ from repro.core import client as client_module
 from repro.core import location_cache as location_cache_module
 from repro.core import metadata as metadata_module
 from repro.core.config import StorageTier, UniviStorConfig
+from repro.core.flush import FlushService
 from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
                                  coalesce_records, pieces_by_range)
@@ -21,7 +22,8 @@ from repro.experiments.common import build_simulation
 from repro.sim import BandwidthResource, Engine
 from repro.simmpi.mpiio import IORequest
 from repro.simulation import Simulation
-from repro.storage.datamodel import ExtentMap, PatternPayload
+from repro.storage.datamodel import Extent, ExtentMap, PatternPayload
+from repro.storage.posix import SimFile
 from repro.units import KiB, MiB
 from repro.workloads import MicroBench
 from repro.workloads.vpic import VpicIO
@@ -247,6 +249,59 @@ class TestMetadataFastPath:
         assert counts["built"] >= 8 * procs
         assert counts["applies"] == counts["expected"]
         assert counts["validated"] == counts["built"]
+
+    def test_flush_copy_one_window_per_run(self, monkeypatch):
+        """A 1024-proc VPIC-IO checkpoint and its flush: the clean
+        materialisation reads each record run's log window once and
+        builds no extent through the validating constructor (reads,
+        rebases and merges skip it), and ``record_runs`` groups the
+        file's records without one ``_mergeable`` call per pair."""
+        post_init = Extent.__post_init__
+        read_at = SimFile.read_at
+        materialise = FlushService._materialise_to_pfs
+        counts = {"validated": 0, "reads": 0, "runs": 0, "flushes": 0}
+        in_flush = []
+
+        def counting_post_init(extent):
+            if in_flush:
+                counts["validated"] += 1
+            post_init(extent)
+
+        def counting_read_at(sim_file, offset, length):
+            if in_flush:
+                counts["reads"] += 1
+            return read_at(sim_file, offset, length)
+
+        def noting_materialise(service, session):
+            records = service.system.metadata.records_of(session.fid)
+            with monkeypatch.context() as patch:
+                mergeable = []
+                patch.setattr(metadata_module, "_mergeable",
+                              lambda a, b: mergeable.append(1))
+                counts["runs"] += len(metadata_module.record_runs(records))
+                assert mergeable == []
+            counts["flushes"] += 1
+            in_flush.append(session.path)
+            try:
+                materialise(service, session)
+            finally:
+                in_flush.pop()
+
+        monkeypatch.setattr(Extent, "__post_init__", counting_post_init)
+        monkeypatch.setattr(SimFile, "read_at", counting_read_at)
+        monkeypatch.setattr(FlushService, "_materialise_to_pfs",
+                            noting_materialise)
+        procs = 1024
+        sim, fstype = build_simulation(procs, "UniviStor/(DRAM+BB)")
+        comm = sim.comm("vpic", size=procs)
+        vpic = VpicIO(sim, comm, fstype, steps=1, compute_seconds=0.0,
+                      particles_per_proc=1 << 20)
+        sim.run_to_completion(vpic.run(sync_last=True))
+
+        assert counts["flushes"] == 1
+        assert counts["runs"] >= 8 * procs
+        assert counts["reads"] == counts["runs"]
+        assert counts["validated"] == 0
 
 
 class TestHotRangeThroughput:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.config import StorageTier
 from repro.core.va import VirtualAddressSpace
@@ -72,10 +72,14 @@ class LogFile:
     ledger actually charged chunk by chunk — a log may fail *before* its
     own bound if the device runs dry (other processes' logs compete for
     the same DRAM/BB space).  ``sim_file`` holds the real bytes.
+    ``tier_totals``, when given, is a ``{tier: live bytes}`` ledger
+    (with an entry for ``tier``) shared by a file's logs; the log keeps
+    it current with :attr:`bytes_live`.
     """
 
     def __init__(self, tier: StorageTier, capacity: float, chunk_size: float,
-                 sim_file: SimFile, device: Optional[StorageDevice] = None):
+                 sim_file: SimFile, device: Optional[StorageDevice] = None,
+                 tier_totals: Optional[Dict[StorageTier, float]] = None):
         if capacity <= 0:
             raise ValueError(f"log capacity must be positive, got {capacity}")
         if chunk_size <= 0:
@@ -95,6 +99,7 @@ class LogFile:
         self._active: Optional[int] = None  # chunk being appended to
         self.bytes_written = 0.0
         self.bytes_live = 0.0
+        self.tier_totals = tier_totals
 
     # -- queries ---------------------------------------------------------
     @property
@@ -160,25 +165,26 @@ class LogFile:
                 # device charge and a single extent) instead of looping
                 # chunk by chunk — O(1) per append instead of O(chunks).
                 if not self._free_stack:
-                    batch = self._take_fresh_batch(length - placed)
-                    if batch is not None:
-                        first, n_chunks = batch
-                        take = int(min(length - placed,
-                                       n_chunks * self.chunk_size))
-                        addr = first * self.chunk_size
-                        self._record_run(runs, addr, take, payload,
+                    n_chunks = self._take_fresh_batch(length - placed)
+                    if n_chunks:
+                        chunk = self.chunk_size
+                        first = self.allocated_chunks
+                        take = int(min(length - placed, n_chunks * chunk))
+                        self._record_run(runs, first * chunk, take, payload,
                                          payload_offset + placed)
                         placed += take
-                        # Account per-chunk usage for the batch.
-                        full, rem = divmod(take, int(self.chunk_size))
-                        for i in range(n_chunks):
-                            used = (self.chunk_size if i < full
-                                    else (rem if i == full else 0.0))
-                            self._chunk_used[first + i] = used
-                            self._chunk_live[first + i] = used
-                        last = first + n_chunks - 1
-                        if self._chunk_used[last] < self.chunk_size:
-                            self._active = last
+                        # The batch's chunks enter the lists with their
+                        # final usage: full chunks, then the partial
+                        # tail (which stays active) and any empty ones.
+                        full, rem = divmod(take, int(chunk))
+                        used = [chunk] * min(full, n_chunks)
+                        if full < n_chunks:
+                            used.append(rem)
+                            used.extend([0.0] * (n_chunks - full - 1))
+                        self._chunk_used.extend(used)
+                        self._chunk_live.extend(used)
+                        if used[-1] < chunk:
+                            self._active = first + n_chunks - 1
                         continue
                 try:
                     self._active = self._take_chunk()
@@ -211,30 +217,30 @@ class LogFile:
         self.sim_file.write_at(int(addr), take, payload, payload_offset)
         self.bytes_written += take
         self.bytes_live += take
+        if self.tier_totals is not None:
+            self.tier_totals[self.tier] += take
 
-    def _take_fresh_batch(self, nbytes: int) -> Optional[Tuple[int, int]]:
-        """Allocate up to ceil(nbytes/chunk) fresh chunks contiguously.
+    def _take_fresh_batch(self, nbytes: int) -> int:
+        """Charge up to ceil(nbytes/chunk) fresh chunks, to be appended
+        contiguously after the allocated ones by the caller.
 
-        Returns (first_chunk_id, count) or ``None`` when no fresh chunk
-        can be allocated (log bound or device pressure); partial batches
-        are fine — the caller loops.
+        Returns the count, 0 when no fresh chunk can be allocated (log
+        bound or device pressure); partial batches are fine — the caller
+        loops.
         """
         want = max(1, math.ceil(nbytes / self.chunk_size))
         if self.max_chunks is not math.inf:
             want = min(want, int(self.max_chunks - self.allocated_chunks))
             if want <= 0:
-                return None
+                return 0
         if self.device is not None:
             # Charge what the device can actually hold.
             can = int(self.device.available // self.chunk_size)
             want = min(want, can)
             if want <= 0:
-                return None
+                return 0
             self.device.allocate(want * self.chunk_size)
-        first = self.allocated_chunks
-        self._chunk_used.extend([0.0] * want)
-        self._chunk_live.extend([0.0] * want)
-        return first, want
+        return want
 
     def free_segment(self, physical_address: float, length: int) -> None:
         """Mark bytes dead; fully dead chunks go back on the free stack."""
@@ -251,6 +257,8 @@ class LogFile:
                            self.chunk_size - (addr - cid * self.chunk_size))
             self._chunk_live[cid] -= in_chunk
             self.bytes_live -= in_chunk
+            if self.tier_totals is not None:
+                self.tier_totals[self.tier] -= in_chunk
             if self._chunk_live[cid] < -1e-6:
                 raise ValueError(f"chunk {cid} live bytes went negative")
             if (self._chunk_live[cid] <= 1e-6
@@ -272,7 +280,8 @@ class LogFile:
 
 class PendingLog(NamedTuple):
     """A layer's log before its first append: everything needed to
-    create it.  ``path`` is a template formatted with the owning rank."""
+    create it.  ``path`` is a template formatted with the owning rank;
+    ``tier_totals`` is the file's ledger the log keeps current."""
 
     tier: StorageTier
     capacity: float
@@ -280,11 +289,12 @@ class PendingLog(NamedTuple):
     store: FileStore
     device: Optional[StorageDevice]
     path: str
+    tier_totals: Optional[Dict[StorageTier, float]] = None
 
     def create(self, rank: int) -> LogFile:
         return LogFile(self.tier, self.capacity, self.chunk_size,
                        self.store.create(self.path.format(rank=rank)),
-                       device=self.device)
+                       device=self.device, tier_totals=self.tier_totals)
 
 
 class LayerPlan(NamedTuple):
@@ -355,15 +365,11 @@ class DHPWriter:
             runs = log.append(length - placed, payload,
                               payload_offset + placed)
             for addr, run_len in runs:
+                # Positional: rank, logical offset, length, layer, tier,
+                # VA, physical address.
                 segments.append(PlacedSegment(
-                    rank=self.rank,
-                    logical_offset=logical_offset + placed,
-                    length=run_len,
-                    layer=layer,
-                    tier=log.tier,
-                    va=self.vas.va(layer, addr),
-                    physical_address=addr,
-                ))
+                    self.rank, logical_offset + placed, run_len, layer,
+                    log.tier, self.vas.va(layer, addr), addr))
                 placed += run_len
             if placed < length:
                 # This layer is out of space: spill downward (Fig. 2).

@@ -17,10 +17,9 @@ persistence that node-local and burst-buffer space cannot (§I).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Dict, Generator
 
 from repro.core.config import StorageTier
-from repro.core.metadata import record_runs
 from repro.core.striping import adaptive_plan, default_plan
 from repro.sim.engine import Event
 from repro.storage.device import TransientIOError
@@ -186,8 +185,8 @@ class FlushService:
         return out
 
     def _materialise_to_pfs(self, session) -> None:
-        """Copy the logical file content onto the PFS namespace, one
-        record run at a time (:meth:`ReadService.copy_runs`).
+        """Copy the logical file content onto the PFS namespace in one
+        pass over the file's records (:meth:`ReadService.copy_records`).
 
         Records with no clean surviving copy cannot be materialised: the
         flush skips them and surfaces the loss through ``flush-lost``
@@ -198,38 +197,11 @@ class FlushService:
         ``pfs_versions`` stamp, so the degraded read ladder refuses it
         (docs/MODEL.md §12).
         """
-        pfs = self.machine.pfs_files
-        out = pfs.create(session.path)
-        authority = session.data_versions
+        out = self.machine.pfs_files.create(session.path).data
         pfs_versions = session.pfs_versions
-        runs = record_runs(self.system.metadata.records_of(session.fid))
-        lost_bytes = 0.0
-        # The PFS copy reflects the authority over each *stretch* of
-        # offset-contiguous copied runs: one splice when the stretch
-        # ends, span-identical to per-record stamping.  Deferring it is
-        # safe because a degraded copy reads ``pfs_versions`` only inside
-        # its own record's window.  A lost record ends a stretch: its
-        # span keeps its old stamp.
-        cuts: List[int] = []
-        for run, extents in self.system.read_service.copy_runs(session,
-                                                               runs):
-            if extents is None:
-                lost_bytes += run[0].length
-                if cuts:
-                    pfs_versions.copy_from_cuts(authority, cuts)
-                    cuts = []
-                continue
-            for extent in extents:
-                out.write_at(extent.offset, extent.length, extent.payload,
-                             extent.payload_offset)
-            if cuts and cuts[-1] != run[0].offset:
-                pfs_versions.copy_from_cuts(authority, cuts)
-                cuts = []
-            if not cuts:
-                cuts.append(run[0].offset)
-            cuts.extend(r.end for r in run)
-        if cuts:
-            pfs_versions.copy_from_cuts(authority, cuts)
+        lost_bytes = self.system.read_service.copy_records(
+            session, self.system.metadata.records_of(session.fid),
+            lambda _record: out, lambda _record: pfs_versions)
         if lost_bytes > 0:
             self.system.telemetry_hook("flush-lost", session.path,
                                        lost_bytes)

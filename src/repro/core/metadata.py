@@ -75,7 +75,8 @@ from repro.core.errors import DataLossError, QuorumLostError
 
 __all__ = ["MetadataRecord", "MetadataService", "MetadataUnavailableError",
            "QuorumLostError", "coalesce_records", "split_record",
-           "pieces_by_range", "record_runs", "apply_insert"]
+           "pieces_by_range", "record_run_end", "record_runs",
+           "apply_insert"]
 
 
 class MetadataUnavailableError(DataLossError):
@@ -179,21 +180,42 @@ def pieces_by_range(records: Iterable["MetadataRecord"], range_size: float
     return by_range
 
 
-def record_runs(records: Iterable["MetadataRecord"]
+def record_run_end(records: Sequence["MetadataRecord"], i: int) -> int:
+    """One past the last index of the record run that starts at
+    ``records[i]``: each record of a run is the byte-exact continuation
+    of the one before (the :func:`_mergeable` rule, tested inline
+    against the run's first record and the offset and VA its last record
+    ends at)."""
+    first = records[i]
+    fid, proc, tier, node = first.fid, first.proc_id, first.tier, first.node_id
+    end = first.offset + first.length
+    va_end = first.va + first.length
+    n = len(records)
+    j = i + 1
+    while j < n:
+        rec = records[j]
+        if (rec.offset != end or rec.va != va_end or rec.proc_id != proc
+                or rec.tier is not tier or rec.node_id != node
+                or rec.fid != fid):
+            break
+        end = rec.offset + rec.length
+        va_end = rec.va + rec.length
+        j += 1
+    return j
+
+
+def record_runs(records: Sequence["MetadataRecord"]
                 ) -> List[List["MetadataRecord"]]:
-    """Group offset-sorted records into maximal **record runs**: each
-    record of a run is the byte-exact continuation of the one before
-    (the :func:`_mergeable` rule — same writer, tier and node, offsets
-    and VAs both contiguous), so a run reads as one window of one log.
+    """Group offset-sorted records into maximal **record runs**
+    (:func:`record_run_end`): same writer, tier and node, offsets and
+    VAs both contiguous, so a run reads as one window of one log.
     Range boundaries do not cut runs; any other break does."""
     runs: List[List[MetadataRecord]] = []
-    run: List[MetadataRecord] = []
-    for rec in records:
-        if run and _mergeable(run[-1], rec):
-            run.append(rec)
-        else:
-            run = [rec]
-            runs.append(run)
+    i, n = 0, len(records)
+    while i < n:
+        j = record_run_end(records, i)
+        runs.append(records[i:j])
+        i = j
     return runs
 
 
@@ -1626,9 +1648,13 @@ class MetadataService:
         stale = self._stale
         splits = self._splits
         bisect_left = bisect.bisect_left
-        # range -> its records: one copy's slice, or for a split range
-        # the union of copies.
-        taken: Dict[int, List[MetadataRecord]] = {}
+        # range -> the record list it is read from (one copy's list, or
+        # for a split range the union of copies) and its index span in
+        # it.  Spans are ranges, which the cyclic GC does not track: a
+        # list per range, alive until the end, would add one tracked
+        # object per range to every flush and replication pass.
+        source: Dict[int, List[MetadataRecord]] = {}
+        taken: Dict[int, range] = {}
         unions: Dict[int, Set[MetadataRecord]] = {}
         for server, store in enumerate(self._stores):
             if (server in self.failed_servers
@@ -1650,16 +1676,19 @@ class MetadataService:
                 elif range_index in splits:
                     unions.setdefault(range_index, set()).update(recs[i:j])
                 elif range_index not in taken:
-                    taken[range_index] = recs[i:j]
+                    source[range_index] = recs
+                    taken[range_index] = range(i, j)
                 i = j
         for range_index, union in unions.items():
             # Copies of different shape overlap: order them fully, so no
             # tie is left in set iteration (hash) order.
-            taken[range_index] = sorted(
+            source[range_index] = sorted(
                 union, key=lambda r: (r.offset, r.proc_id, r.length, r.va))
+            taken[range_index] = range(len(union))
         out: List[MetadataRecord] = []
         for range_index in sorted(taken):
-            out.extend(taken[range_index])
+            span = taken[range_index]
+            out += source[range_index][span.start:span.stop]
         return out
 
     def server_record_counts(self) -> List[int]:

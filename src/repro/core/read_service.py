@@ -21,16 +21,19 @@ round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, Generator, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.config import StorageTier
 from repro.core.errors import DataLossError
 from repro.core.metadata import (MetadataRecord, MetadataUnavailableError,
-                                 QuorumLostError, record_runs)
+                                 QuorumLostError, record_run_end,
+                                 record_runs)
+from repro.core.versioning import VersionMap
 from repro.simmpi.comm import Communicator
 from repro.simmpi.mpiio import IORequest
-from repro.storage.datamodel import CorruptPayload, Extent, ZeroPayload
+from repro.storage.datamodel import (CorruptPayload, Extent, ExtentMap,
+                                     ZeroPayload)
 
 __all__ = ["ReadService", "ReadBreakdown"]
 
@@ -105,17 +108,16 @@ class ReadService:
                     float(record.length))
                 return self.resolve_degraded(session, record)
         rebase = record.offset - addr
-        return [Extent(int(p.offset + rebase), p.length, p.payload,
-                       p.payload_offset) for p in pieces]
+        return [p.at(int(p.offset + rebase)) for p in pieces]
 
-    def _run_extents(self, session, run: Sequence[MetadataRecord]
+    def _run_extents(self, session, first: MetadataRecord, length: int
                      ) -> Optional[List[Extent]]:
-        """Logical extents of a clean record run from one ``vas.resolve``
-        and one log ``read_at``, or None when the run needs the
-        per-record path: its node has failed, it would leave its first
-        record's layer, or any piece read back corrupt.  Emits no
-        telemetry — the per-record path reports exactly as before."""
-        first = run[0]
+        """Logical extents of the clean record run of ``length`` bytes
+        that starts with ``first``, from one ``vas.resolve`` and one log
+        ``read_at``, or None when the run needs the per-record path: its
+        node has failed, it would leave its first record's layer, or any
+        piece read back corrupt.  Emits no telemetry — the per-record
+        path reports exactly as before."""
         if (first.node_id in self.system.failed_nodes
                 and first.tier.is_node_local):
             return None
@@ -124,7 +126,6 @@ class ReadService:
             return None
         vas = writer.vas
         layer, addr = vas.resolve(first.va)
-        length = run[-1].end - first.offset
         if addr + length > vas.capacities[layer]:
             return None
         pieces = writer.log(layer).sim_file.read_at(int(addr), int(length))
@@ -132,8 +133,7 @@ class ReadService:
             if isinstance(p.payload, CorruptPayload):
                 return None
         rebase = first.offset - addr
-        return [Extent(int(p.offset + rebase), p.length, p.payload,
-                       p.payload_offset) for p in pieces]
+        return [p.at(int(p.offset + rebase)) for p in pieces]
 
     def resolve_run(self, session, run: Sequence[MetadataRecord]
                     ) -> List[Extent]:
@@ -143,32 +143,91 @@ class ReadService:
         when the run is clean, else through :meth:`resolve` record by
         record (degraded reads, ``read-corrupt`` telemetry and
         :class:`DataLossError` exactly as per record)."""
-        extents = self._run_extents(session, run)
+        first = run[0]
+        extents = self._run_extents(session, first,
+                                    run[-1].end - first.offset)
         if extents is None:
             extents = []
             for record in run:
                 extents.extend(self.resolve(session, record))
         return extents
 
-    def copy_runs(self, session, runs: Iterable[Sequence[MetadataRecord]]
-                  ) -> Iterator[Tuple[Sequence[MetadataRecord],
-                                      Optional[List[Extent]]]]:
-        """The copy passes' (flush, replication) view of
-        :meth:`resolve_run`: ``(records, extents)`` per clean run, and
-        per record of any other run, with ``extents`` None for a record
-        that has no clean copy — a lost record splits its run, and its
-        neighbours still copy."""
-        for run in runs:
-            extents = self._run_extents(session, run)
+    def copy_records(self, session, records: Sequence[MetadataRecord],
+                     target: Callable[[MetadataRecord], ExtentMap],
+                     versions: Callable[[MetadataRecord], VersionMap]
+                     ) -> float:
+        """Copy a file's offset-sorted records (one file's, as
+        :meth:`~repro.core.metadata.MetadataService.records_of` lists
+        them) into copy targets — the flush's PFS file, the replication
+        pass's replica logs — and return the bytes that have no clean
+        copy.  The one copy primitive of both passes.
+
+        One pass over ``records``: each record run
+        (:func:`~repro.core.metadata.record_run_end`) grows inline by
+        index, reads its log window once and lands at the tail of its
+        target's extent map (:meth:`ExtentMap.extend`).
+        ``target(record)`` names the extent map a run goes to; it is
+        called once per run, before the run is read.  The target's
+        version map, ``versions(record)`` of the stretch's first record,
+        then reflects the authority over each *stretch* of
+        offset-contiguous runs with one target in one
+        :meth:`VersionMap.copy_from_cuts` splice, span-identical to
+        stamping record by record.  A stretch is spliced before the next
+        run that does not continue it is read, and a degraded read looks
+        at a copy's versions only inside its own record's window, so no
+        read sees a deferred stamp.
+
+        A run that cannot take the one-window path (failed node, layer
+        edge, rot) copies record by record through :meth:`resolve`:
+        degraded reads, ``read-corrupt`` telemetry and losses stay
+        exactly per record.  A lost record ends its stretch and keeps
+        its span's old stamp."""
+        authority = session.data_versions
+        lost = 0.0
+        # The open stretch: its target, first record and record edges.
+        dest = opener = None
+        cuts: List[int] = []
+        i, n = 0, len(records)
+        while i < n:
+            first = records[i]
+            j = record_run_end(records, i)
+            last = records[j - 1]
+            to = target(first)
+            if cuts and (to is not dest or cuts[-1] != first.offset):
+                versions(opener).copy_from_cuts(authority, cuts)
+                cuts = []
+            dest = to
+            extents = self._run_extents(session, first,
+                                        last.offset + last.length
+                                        - first.offset)
             if extents is not None:
-                yield run, extents
-                continue
-            for record in run:
-                try:
-                    extents = self.resolve(session, record)
-                except DataLossError:
-                    extents = None
-                yield (record,), extents
+                to.extend(extents)
+                if not cuts:
+                    opener = first
+                    cuts.append(first.offset)
+                cuts.extend([rec.offset + rec.length
+                             for rec in records[i:j]])
+            else:
+                for rec in records[i:j]:
+                    try:
+                        extents = self.resolve(session, rec)
+                    except DataLossError:
+                        lost += rec.length
+                        if cuts:
+                            versions(opener).copy_from_cuts(authority, cuts)
+                            cuts = []
+                        continue
+                    to.extend(extents)
+                    # Records of a run are contiguous: a copied one
+                    # continues the stretch.
+                    if not cuts:
+                        opener = rec
+                        cuts.append(rec.offset)
+                    cuts.append(rec.offset + rec.length)
+            i = j
+        if cuts:
+            versions(opener).copy_from_cuts(authority, cuts)
+        return lost
 
     def resolve_degraded(self, session, record: MetadataRecord
                          ) -> List[Extent]:

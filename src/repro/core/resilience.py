@@ -24,7 +24,7 @@ from typing import Dict, Generator, List
 
 from repro.core.config import StorageTier
 from repro.core.errors import DataLossError
-from repro.core.metadata import MetadataRecord, record_runs
+from repro.core.metadata import MetadataRecord
 from repro.sim.engine import Event
 from repro.storage.datamodel import CorruptPayload, Extent, ZeroPayload
 from repro.storage.device import TransientIOError
@@ -62,10 +62,6 @@ class ResilienceService:
                 f"/univistor/replica/{session.fid}/{rank}.log")
             per_session[rank] = f
         return f
-
-    def _volatile_records(self, session) -> List[MetadataRecord]:
-        return [r for r in self.system.metadata.records_of(session.fid)
-                if r.tier.is_node_local]
 
     def pending_bytes(self, session) -> float:
         # Cumulative volatile writes (overwrites count again) minus what
@@ -112,35 +108,25 @@ class ResilienceService:
         # node already died mid-session are unrecoverable here — skip
         # them (they would raise) and surface the loss via telemetry.
         lost_bytes = 0.0
-        live_runs = []
-        for run in record_runs(self._volatile_records(session)):
-            if self.is_lost(run[0]):
-                # A run shares one node: it died whole.
-                lost_bytes += run[-1].end - run[0].offset
-            else:
-                # The replica log exists before its source is read, even
-                # if the read then finds no clean copy.
-                self.replica_file(session, run[0].proc_id)
-                live_runs.append(run)
-        authority = session.data_versions
-        for run, extents in system.read_service.copy_runs(session,
-                                                          live_runs):
-            if extents is None:
-                # Source rotted (corruption) with no clean copy anywhere:
-                # nothing usable to replicate.  Surface, don't crash the
-                # background pass.
-                lost_bytes += run[0].length
+        live: List[MetadataRecord] = []
+        for record in system.metadata.records_of(session.fid):
+            if not record.tier.is_node_local:
                 continue
-            proc_id = run[0].proc_id
-            replica = self.replica_file(session, proc_id)
-            for extent in extents:
-                replica.write_at(extent.offset, extent.length,
-                                 extent.payload, extent.payload_offset)
-            # The replica now reflects the authority over the run's span
-            # — stamp it so the version-ordered degraded read chain
-            # (docs/MODEL.md §12) knows this copy is current.
-            session.replica_map(proc_id).copy_from_cuts(
-                authority, [r.offset for r in run] + [run[-1].end])
+            if self.is_lost(record):
+                lost_bytes += record.length
+            else:
+                live.append(record)
+
+        # The replica log exists before its source is read, even if the
+        # read then finds no clean copy; its version map is stamped with
+        # the authority over what it copied, for the version-ordered
+        # degraded read chain (docs/MODEL.md §12).  A source that rotted
+        # (corruption) with no clean copy anywhere has nothing usable to
+        # replicate: surface it, don't crash the background pass.
+        lost_bytes += system.read_service.copy_records(
+            session, live,
+            lambda record: self.replica_file(session, record.proc_id).data,
+            lambda record: session.replica_map(record.proc_id))
         if lost_bytes > 0:
             system.telemetry_hook("replicate-lost", session.path,
                                   lost_bytes, t_start=t_start)

@@ -54,6 +54,10 @@ class FileSession:
         #: (node id or None, tiers, c/p capacities) — see
         #: :meth:`UniviStorServers._plan_for`.
         self.plans: Dict[tuple, LayerPlan] = {}
+        #: Live bytes per tier over every rank's logs, kept current by
+        #: the logs themselves; a tier enters when the first layer plan
+        #: naming it is made.
+        self.tier_bytes_live: Dict[StorageTier, float] = {}
         self.bytes_written = 0.0
         #: Cumulative bytes written into *cache* tiers (monotonic — an
         #: overwrite counts again, so a later flush knows there is fresh
@@ -109,13 +113,9 @@ class FileSession:
 
     def cached_bytes_per_tier(self) -> Dict[StorageTier, float]:
         """Live bytes per tier across all ranks' layers (a layer with no
-        log yet holds 0)."""
-        out: Dict[StorageTier, float] = {}
-        for writer in self.writers.values():
-            for tier, nbytes in zip(writer.vas.tiers,
-                                    writer.bytes_per_layer()):
-                out[tier] = out.get(tier, 0.0) + nbytes
-        return out
+        log yet holds 0), tiers in the order the layer plans first name
+        them."""
+        return dict(self.tier_bytes_live)
 
     def node_of_proc(self, proc_id: int) -> ComputeNode:
         if self.writer_comm is None:
@@ -608,14 +608,17 @@ class UniviStorServers:
     def _layer_plan(self, session: FileSession, node: ComputeNode,
                     tiers, capacities) -> LayerPlan:
         logs = []
+        totals = session.tier_bytes_live
         for tier, capacity in zip(tiers, capacities):
+            totals.setdefault(tier, 0.0)
             tier_node = node if tier.is_node_local else None
             device = (None if tier is StorageTier.PFS
                       else self.tier_device(tier, tier_node))
             logs.append(PendingLog(
                 tier, capacity, self.config.chunk_size,
                 self.tier_store(tier, tier_node), device,
-                f"/univistor/{session.fid}/{{rank}}/{tier.value}.log"))
+                f"/univistor/{session.fid}/{{rank}}/{tier.value}.log",
+                totals))
         return LayerPlan(VirtualAddressSpace(tiers, capacities), tuple(logs))
 
     # -- teardown ------------------------------------------------------------

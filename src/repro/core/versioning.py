@@ -64,8 +64,8 @@ class VersionMap:
     __slots__ = ("_spans",)
 
     def __init__(self):
-        # [start, end, version, epoch], sorted by start, disjoint.
-        self._spans: List[List[int]] = []
+        # (start, end, version, epoch), sorted by start, disjoint.
+        self._spans: List[Tuple[int, int, int, int]] = []
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -77,10 +77,10 @@ class VersionMap:
         if length <= 0:
             return
         start, end = int(offset), int(offset + length)
-        self._splice(start, end, [[start, end, version, epoch]])
+        self._splice(start, end, [(start, end, version, epoch)])
 
     def _splice(self, start: int, end: int,
-                middle: List[List[int]]) -> None:
+                middle: List[Tuple[int, int, int, int]]) -> None:
         """Replace the window [start, end) with ``middle`` (sorted,
         disjoint spans inside the window), trimming the spans that
         straddle its edges."""
@@ -93,10 +93,10 @@ class VersionMap:
         j = bisect_left(spans, end, key=_START, lo=i)  # first span at/after end
         if i < j and spans[i][0] < start:
             s, _e, v, ep = spans[i]
-            middle.insert(0, [s, start, v, ep])
+            middle.insert(0, (s, start, v, ep))
         if i < j and spans[j - 1][1] > end:
             _s, e, v, ep = spans[j - 1]
-            middle.append([end, e, v, ep])
+            middle.append((end, e, v, ep))
         spans[i:j] = middle
 
     def spans(self, offset: int, length: int
@@ -109,10 +109,12 @@ class VersionMap:
         spans = self._spans
         out: List[Tuple[int, int, int, int]] = []
         for idx in range(bisect_right(spans, start, key=_END), len(spans)):
-            s, e, v, ep = spans[idx]
+            span = spans[idx]
+            s, e, v, ep = span
             if s >= end:
                 break
-            out.append((max(s, start), min(e, end), v, ep))
+            out.append(span if start <= s and e <= end
+                       else (max(s, start), min(e, end), v, ep))
         return out
 
     def copy_from(self, authority: "VersionMap", offset: int,
@@ -211,16 +213,19 @@ def stamp_with_epochs(vmap: VersionMap, metadata, offset: int,
 
 
 def _cut_at(spans: Sequence[Tuple[int, int, int, int]],
-            edges: Sequence[int]) -> List[List[int]]:
+            edges: Sequence[int]) -> List[Tuple[int, int, int, int]]:
     """Contiguous ``(start, end, version, epoch)`` spans cut at every
     edge (``edges`` strictly increasing, the last at the spans' end)."""
-    middle: List[List[int]] = []
+    middle: List[Tuple[int, int, int, int]] = []
     k = 0
     for s, e, v, ep in spans:
-        while s < e:
-            while edges[k] <= s:
-                k += 1
-            cut = min(e, edges[k])
-            middle.append([s, cut, v, ep])
-            s = cut
+        while edges[k] <= s:
+            k += 1
+        edge = edges[k]
+        while edge < e:
+            middle.append((s, edge, v, ep))
+            s = edge
+            k += 1
+            edge = edges[k]
+        middle.append((s, e, v, ep))
     return middle

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Payload",
@@ -227,8 +227,18 @@ class Extent:
         if not (self.offset <= start < end <= self.end):
             raise ValueError(
                 f"slice [{start}, {end}) outside extent [{self.offset}, {self.end})")
-        return Extent(start, end - start, self.payload,
-                      self.payload_offset + (start - self.offset))
+        # A slice of a valid extent is valid once the bounds check has
+        # passed, so it skips the validating constructor.
+        return _derived(start, end - start, self.payload,
+                        self.payload_offset + (start - self.offset))
+
+    def at(self, offset: int) -> "Extent":
+        """The same bytes placed at file ``offset`` (a copy rebased from
+        one file's address space into another's)."""
+        if offset < 0:
+            raise ValueError(f"negative extent offset {offset}")
+        return _derived(offset, self.length, self.payload,
+                        self.payload_offset)
 
     def materialize(self) -> bytes:
         return self.payload.materialize(self.payload_offset, self.length)
@@ -242,9 +252,30 @@ class Extent:
 
     def abuts(self, other: "Extent") -> bool:
         """True if ``other`` directly continues ``self`` in file and payload."""
-        return (other.offset == self.end
+        return (other.offset == self.offset + self.length
                 and other.payload.same_source(self.payload)
                 and other.payload_offset == self.payload_offset + self.length)
+
+
+# The module-private constructor of extents derived from a valid extent
+# (a slice, a rebase, a merge, a hole between valid extents):
+# ``object.__new__`` plus the slot descriptors' ``__set__``, about half
+# the cost of ``__init__`` and ``__post_init__``.  Only for fields that
+# are valid by construction (a non-negative offset and payload offset, a
+# positive length); the public constructor still validates.
+_set_offset, _set_length, _set_payload, _set_payload_offset = (
+    Extent.__dict__[name].__set__
+    for name in ("offset", "length", "payload", "payload_offset"))
+
+
+def _derived(offset: int, length: int, payload: Payload,
+             payload_offset: int) -> Extent:
+    ext = object.__new__(Extent)
+    _set_offset(ext, offset)
+    _set_length(ext, length)
+    _set_payload(ext, payload)
+    _set_payload_offset(ext, payload_offset)
+    return ext
 
 
 class ExtentMap:
@@ -292,15 +323,7 @@ class ExtentMap:
         new = Extent(offset, length, payload, payload_offset)
         extents = self._extents
         if not extents or offset >= extents[-1].end:
-            # Append at or past the end (log appends, flush copies): no
-            # overlap is possible and only the last extent can merge.
-            if extents and extents[-1].abuts(new):
-                last = extents[-1]
-                extents[-1] = Extent(last.offset, last.length + length,
-                                     last.payload, last.payload_offset)
-            else:
-                extents.append(new)
-                self._starts.append(offset)
+            self._append(new)
             return
         lo = bisect.bisect_left(self._starts, new.offset)
         # Step back to an extent that may overlap from the left.
@@ -326,14 +349,41 @@ class ExtentMap:
         self._starts[lo:hi] = [e.offset for e in replacement]
         self._merge_around(lo, lo + len(replacement))
 
+    def extend(self, extents: Iterable[Extent]) -> None:
+        """Write already-built extents in order: the map :meth:`write`
+        leaves one at a time.  An extent at or past the end of the map
+        is taken as it is (copies land offset-sorted at the tail); one
+        that overlaps the map, such as a re-flush over an existing file,
+        goes through :meth:`write`."""
+        mine = self._extents
+        for ext in extents:
+            if mine and ext.offset < mine[-1].offset + mine[-1].length:
+                self.write(ext.offset, ext.length, ext.payload,
+                           ext.payload_offset)
+            else:
+                self._append(ext)
+
+    def _append(self, new: Extent) -> None:
+        """Add ``new`` at or past the end of the map (log appends, flush
+        copies): no overlap is possible and only the last extent can
+        merge with it."""
+        extents = self._extents
+        if extents and extents[-1].abuts(new):
+            last = extents[-1]
+            extents[-1] = _derived(last.offset, last.length + new.length,
+                                   last.payload, last.payload_offset)
+        else:
+            extents.append(new)
+            self._starts.append(new.offset)
+
     def _merge_around(self, lo: int, hi: int) -> None:
         """Coalesce continuation extents in the window [lo-1, hi+1)."""
         i = max(0, lo - 1)
         while i + 1 < len(self._extents) and i < hi + 1:
             a, b = self._extents[i], self._extents[i + 1]
             if a.abuts(b):
-                merged = Extent(a.offset, a.length + b.length, a.payload,
-                                a.payload_offset)
+                merged = _derived(a.offset, a.length + b.length, a.payload,
+                                  a.payload_offset)
                 self._extents[i:i + 2] = [merged]
                 self._starts[i:i + 2] = [merged.offset]
                 hi -= 1
@@ -348,34 +398,46 @@ class ExtentMap:
         if length == 0:
             return []
         end = offset + length
-        out: List[Extent] = []
-        cursor = offset
         starts = self._starts
         extents = self._extents
-        lo = bisect.bisect_left(starts, offset)
-        if lo > 0 and extents[lo - 1].end > offset:
-            lo -= 1
+        # The last extent starting at or before the window.
+        lo = bisect.bisect_right(starts, offset) - 1
+        if lo < 0:
+            lo = 0
+        else:
+            ext = extents[lo]
+            ext_end = ext.offset + ext.length
+            if end <= ext_end:
+                # The window lies inside one extent (a log read of one
+                # record run): one piece and nothing to merge.
+                if ext.offset == offset and ext_end == end:
+                    return [ext]
+                return [_derived(offset, length, ext.payload,
+                                 ext.payload_offset + (offset - ext.offset))]
+            if ext_end <= offset:
+                lo += 1
+        out: List[Extent] = []
+        cursor = offset
         # Upper bound by bisect: iterating a tail *slice* copied the
         # whole remainder of the extent list on every read.
         hi = bisect.bisect_left(starts, end, lo)
         for i in range(lo, hi):
             ext = extents[i]
             ext_end = ext.offset + ext.length
-            if ext_end <= cursor:
-                continue
             if ext.offset > cursor:
-                out.append(Extent(cursor, ext.offset - cursor, ZeroPayload()))
+                out.append(_derived(cursor, ext.offset - cursor,
+                                    ZeroPayload(), 0))
                 cursor = ext.offset
-            if cursor <= ext.offset and ext_end <= end:
+            if cursor == ext.offset and ext_end <= end:
                 # Fully-covered extent: share the frozen object instead
                 # of allocating an identical copy.
                 piece = ext
             else:
-                piece = ext.slice(max(ext.offset, cursor), min(ext_end, end))
+                piece = ext.slice(cursor, min(ext_end, end))
             out.append(piece)
             cursor = piece.offset + piece.length
         if cursor < end:
-            out.append(Extent(cursor, end - cursor, ZeroPayload()))
+            out.append(_derived(cursor, end - cursor, ZeroPayload(), 0))
         # Coalesce continuation pieces so reads are provenance-normalised
         # (two zero holes, or two chunks of one payload stream, compare
         # equal regardless of how the writes were fragmented).
@@ -386,8 +448,9 @@ class ExtentMap:
                                and isinstance(merged[-1].payload, ZeroPayload)
                                and merged[-1].end == piece.offset)):
                 prev = merged.pop()
-                merged.append(Extent(prev.offset, prev.length + piece.length,
-                                     prev.payload, prev.payload_offset))
+                merged.append(_derived(prev.offset,
+                                       prev.length + piece.length,
+                                       prev.payload, prev.payload_offset))
             else:
                 merged.append(piece)
         return merged

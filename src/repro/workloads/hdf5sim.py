@@ -50,6 +50,7 @@ class Hdf5Layout:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate dataset names in {names}")
         self.datasets = list(datasets)
+        self._by_name: Dict[str, DatasetSpec] = {d.name: d for d in datasets}
         self._offsets: Dict[str, int] = {}
         cursor = METADATA_REGION_BYTES
         for ds in datasets:
@@ -58,10 +59,7 @@ class Hdf5Layout:
         self.file_size = cursor
 
     def dataset(self, name: str) -> DatasetSpec:
-        for ds in self.datasets:
-            if ds.name == name:
-                return ds
-        raise KeyError(name)
+        return self._by_name[name]
 
     def dataset_offset(self, name: str) -> int:
         return self._offsets[name]
@@ -69,8 +67,7 @@ class Hdf5Layout:
     def block_range(self, name: str, rank: int) -> Tuple[int, int]:
         """(offset, length) of ``rank``'s block of dataset ``name``."""
         ds = self.dataset(name)
-        if not 0 <= rank < ds.nprocs:
-            raise ValueError(f"rank {rank} outside dataset of {ds.nprocs}")
+        _check_rank(ds, rank)
         return (self._offsets[name] + rank * ds.bytes_per_proc,
                 ds.bytes_per_proc)
 
@@ -87,13 +84,11 @@ class Hdf5Layout:
         ``seed_base + r`` starting at its dataset-local offset (so the
         whole dataset reads back as one coherent per-rank stream)."""
         ds = self.dataset(name)
-        out = []
-        for rank in range(ds.nprocs):
-            offset, length = self.block_range(name, rank)
-            out.append(IORequest(rank, offset, length,
-                                 PatternPayload(payload_seed_base + rank),
-                                 payload_offset=0))
-        return out
+        base, size = self._offsets[name], ds.bytes_per_proc
+        return [IORequest(rank, base + rank * size, size,
+                          PatternPayload(payload_seed_base + rank),
+                          payload_offset=0)
+                for rank in range(ds.nprocs)]
 
     def read_requests(self, name: str,
                       ranks: Optional[List[int]] = None,
@@ -101,14 +96,19 @@ class Hdf5Layout:
         """Block reads; by default rank r reads block r (``reader_of_block``
         remaps, e.g. for a reader application with fewer ranks)."""
         ds = self.dataset(name)
-        ranks = list(range(ds.nprocs)) if ranks is None else ranks
+        base, size = self._offsets[name], ds.bytes_per_proc
         out = []
-        for block in ranks:
+        for block in range(ds.nprocs) if ranks is None else ranks:
             reader = block if reader_of_block is None else reader_of_block(block)
-            offset, length = self.block_range(name, block)
-            out.append(IORequest(reader, offset, length))
+            _check_rank(ds, block)
+            out.append(IORequest(reader, base + block * size, size))
         return out
 
     def expected_block_payload(self, name: str, rank: int,
                                payload_seed_base: int = 0) -> Payload:
         return PatternPayload(payload_seed_base + rank)
+
+
+def _check_rank(ds: DatasetSpec, rank: int) -> None:
+    if not 0 <= rank < ds.nprocs:
+        raise ValueError(f"rank {rank} outside dataset of {ds.nprocs}")

@@ -359,3 +359,133 @@ class TestExtentMapProperties:
         for o, l, s, p in ops:
             m.write(o, l, PatternPayload(s), p)
         assert m.bytes_stored <= m.size
+
+
+def _reference_read(extents, offset, length):
+    """Brute-force read: every extent clipped to the window, holes as
+    zero extents, continuation pieces merged."""
+    end = offset + length
+    pieces, cursor = [], offset
+    for ext in extents:
+        lo, hi = max(ext.offset, offset), min(ext.end, end)
+        if lo >= hi:
+            continue
+        if lo > cursor:
+            pieces.append(Extent(cursor, lo - cursor, ZeroPayload()))
+        pieces.append(Extent(lo, hi - lo, ext.payload,
+                             ext.payload_offset + (lo - ext.offset)))
+        cursor = hi
+    if cursor < end:
+        pieces.append(Extent(cursor, end - cursor, ZeroPayload()))
+    merged = []
+    for piece in pieces:
+        prev = merged[-1] if merged else None
+        if prev is not None and prev.end == piece.offset and (
+                prev.abuts(piece)
+                or (isinstance(prev.payload, ZeroPayload)
+                    and isinstance(piece.payload, ZeroPayload))):
+            merged[-1] = Extent(prev.offset, prev.length + piece.length,
+                                prev.payload, prev.payload_offset)
+        else:
+            merged.append(piece)
+    return merged
+
+
+def _validated(ext):
+    return Extent(ext.offset, ext.length, ext.payload, ext.payload_offset)
+
+
+class TestDerivedExtents:
+    """Slices, rebases, merges and holes skip the validating constructor
+    and must still equal validated extents."""
+
+    def test_slice_and_at_equal_validated_extents(self):
+        ext = Extent(10, 20, PatternPayload(3), 5)
+        part = ext.slice(14, 22)
+        assert part == Extent(14, 8, PatternPayload(3), 9)
+        assert hash(part) == hash(Extent(14, 8, PatternPayload(3), 9))
+        moved = part.at(100)
+        assert moved == Extent(100, 8, PatternPayload(3), 9)
+        assert pickle.loads(pickle.dumps(moved)) == moved
+        assert not hasattr(moved, "__dict__")
+        with pytest.raises(ValueError):
+            part.at(-1)
+        with pytest.raises(ValueError):
+            ext.slice(9, 12)
+
+    @given(st.lists(write_op, max_size=30),
+           st.lists(st.tuples(st.integers(0, 300), st.integers(1, 100)),
+                    max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_stored_and_read_extents_equal_validated_ones(self, ops,
+                                                          windows):
+        m = ExtentMap()
+        for offset, length, seed, poff in ops:
+            m.write(offset, length, PatternPayload(seed), poff)
+        for ext in m:
+            assert ext == _validated(ext)
+        for offset, length in windows:
+            for ext in m.read(offset, length):
+                assert ext == _validated(ext)
+
+    @given(st.lists(write_op, min_size=1, max_size=30), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_read_equals_brute_force(self, ops, data):
+        """Windows inside one extent (one bisect, no merge pass) and
+        arbitrary windows read as the brute-force reference and the
+        byte model say."""
+        m = ExtentMap()
+        ref = bytearray(512)
+        for offset, length, seed, poff in ops:
+            m.write(offset, length, PatternPayload(seed), poff)
+            ref[offset:offset + length] = PatternPayload(seed).materialize(
+                poff, length)
+        extents = m.extents
+        windows = []
+        for _ in range(4):
+            ext = data.draw(st.sampled_from(extents))
+            lo = data.draw(st.integers(ext.offset, ext.end - 1))
+            hi = data.draw(st.integers(lo + 1, ext.end))
+            windows.append((lo, hi - lo))
+            windows.append((data.draw(st.integers(0, 300)),
+                            data.draw(st.integers(1, 200))))
+        for offset, length in windows:
+            got = m.read(offset, length)
+            assert got == _reference_read(extents, offset, length)
+            data_bytes = b"".join(e.materialize() for e in got)
+            want = bytes(ref[offset:offset + length])
+            assert data_bytes == want + bytes(length - len(want))
+
+    @given(st.lists(st.tuples(st.sampled_from(["tail", "continue", "back"]),
+                              st.integers(1, 40), st.integers(0, 3),
+                              st.integers(0, 30)),
+                    max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_extend_equals_write_one_at_a_time(self, ops):
+        """Already-built extents taken at the tail (continuations merge)
+        or, overlapping the map, through write: the map ``write`` leaves."""
+        batches, built, size = [], [], 0
+        for kind, length, seed, gap in ops:
+            if kind == "continue" and built:
+                last = built[-1]
+                ext = Extent(last.end, length, last.payload,
+                             last.payload_offset + last.length)
+            elif kind == "back":
+                ext = Extent(max(0, size - gap), length, PatternPayload(seed))
+            else:
+                ext = Extent(size + gap % 3, length, PatternPayload(seed),
+                             gap)
+            built.append(ext)
+            size = max(size, ext.end)
+            if gap % 4 == 0:
+                batches.append(built)
+                built = []
+        batches.append(built)
+        by_extend, by_write = ExtentMap(), ExtentMap()
+        for batch in batches:
+            by_extend.extend(batch)
+            for ext in batch:
+                by_write.write(ext.offset, ext.length, ext.payload,
+                               ext.payload_offset)
+            by_extend.check_invariants()
+            assert by_extend.extents == by_write.extents

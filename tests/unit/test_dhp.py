@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import StorageTier
-from repro.core.dhp import (DHPWriter, LayerPlan, LogFile, PendingLog,
-                            PlacedSegment)
+from repro.core.dhp import (Chunk, DHPWriter, LayerPlan, LogFile,
+                            PendingLog, PlacedSegment)
 from repro.core.va import VirtualAddressSpace
 from repro.sim import Engine
 from repro.storage.datamodel import PatternPayload
@@ -383,3 +383,120 @@ class TestDHPProperties:
         for cid in range(log0.allocated_chunks):
             c = log0.chunk(cid)
             assert c.live <= log0.chunk_size + 1e-9
+
+
+class _ChunkModel:
+    """Per-chunk reference for :class:`LogFile`: every chunk is taken,
+    filled and freed one at a time (no fresh batches)."""
+
+    def __init__(self, capacity, chunk, device_capacity):
+        self.chunk = chunk
+        self.max_chunks = (math.inf if capacity == math.inf
+                           else max(1, int(capacity // chunk)))
+        self.device_left = device_capacity
+        self.used, self.live, self.free = [], [], []
+        self.active = None
+
+    def append(self, length):
+        runs, placed = [], 0
+        while placed < length:
+            if self.active is None:
+                if self.free:
+                    cid = self.free.pop()
+                    self.used[cid] = self.live[cid] = 0
+                elif (len(self.used) < self.max_chunks
+                      and self.device_left >= self.chunk):
+                    self.device_left -= self.chunk
+                    self.used.append(0)
+                    self.live.append(0)
+                    cid = len(self.used) - 1
+                else:
+                    break
+                self.active = cid
+            take = min(self.chunk - self.used[self.active], length - placed)
+            addr = self.active * self.chunk + self.used[self.active]
+            if runs and runs[-1][0] + runs[-1][1] == addr:
+                runs[-1] = (runs[-1][0], runs[-1][1] + take)
+            else:
+                runs.append((addr, take))
+            self.used[self.active] += take
+            self.live[self.active] += take
+            placed += take
+            if self.used[self.active] == self.chunk:
+                self.active = None
+        return runs
+
+    def free_segment(self, addr, length):
+        while length > 0:
+            cid = addr // self.chunk
+            in_chunk = min(length, (cid + 1) * self.chunk - addr)
+            self.live[cid] -= in_chunk
+            if (self.live[cid] == 0 and self.used[cid] == self.chunk
+                    and cid != self.active and cid not in self.free):
+                self.free.append(cid)
+            addr += in_chunk
+            length -= in_chunk
+
+    def remaining_in_log(self):
+        if self.max_chunks is math.inf:
+            return math.inf
+        open_space = (0 if self.active is None
+                      else self.chunk - self.used[self.active])
+        fresh = self.max_chunks - len(self.used) + len(self.free)
+        return open_space + fresh * self.chunk
+
+
+_log_ops = st.lists(
+    st.one_of(st.tuples(st.just("append"), st.integers(1, 60)),
+              st.tuples(st.just("free"), st.integers(0, 10 ** 6),
+                        st.integers(0, 10 ** 6), st.integers(1, 40))),
+    min_size=1, max_size=30)
+
+
+class TestLogFileAgainstChunkModel:
+    @given(chunk=st.integers(1, 12),
+           capacity=st.one_of(st.integers(1, 150), st.just(math.inf)),
+           device_chunks=st.one_of(st.none(), st.integers(0, 14)),
+           ops=_log_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_appends_and_frees_match_the_per_chunk_model(
+            self, chunk, capacity, device_chunks, ops):
+        """Random appends and frees — fresh batches, partial chunks,
+        free-stack reuse, device pressure — leave the runs, chunks, free
+        stack and byte counts a chunk-at-a-time log would."""
+        device = None
+        device_capacity = math.inf
+        if device_chunks is not None:
+            # A little slack, so the device is not a multiple of chunks.
+            device_capacity = device_chunks * chunk + chunk // 2
+            device = StorageDevice(Engine(), "d", capacity=device_capacity,
+                                   bandwidth=1.0)
+        log = make_log(capacity=capacity, chunk=chunk, device=device)
+        model = _ChunkModel(capacity, chunk, device_capacity)
+        live = []   # (addr, length) pieces appended and not yet freed
+        for op in ops:
+            if op[0] == "append":
+                runs = log.append(op[1], PatternPayload(1))
+                assert runs == model.append(op[1])
+                live.extend((int(a), n) for a, n in runs)
+            elif live:
+                _, pick, at, want = op
+                addr, length = live.pop(pick % len(live))
+                skip = at % length
+                n = min(want, length - skip)
+                log.free_segment(addr + skip, n)
+                model.free_segment(addr + skip, n)
+                live.extend(piece for piece in ((addr, skip),
+                                                (addr + skip + n,
+                                                 length - skip - n))
+                            if piece[1] > 0)
+            assert log.allocated_chunks == len(model.used)
+            assert [log.chunk(i) for i in range(log.allocated_chunks)] == [
+                Chunk(i, u, v)
+                for i, (u, v) in enumerate(zip(model.used, model.live))]
+            assert log.free_stack == model.free
+            assert log.remaining_in_log() == model.remaining_in_log()
+            assert log.bytes_live == sum(model.live)
+            assert log.bytes_live == sum(n for _a, n in live)
+            if device is not None:
+                assert device.used == len(model.used) * chunk

@@ -305,3 +305,57 @@ class TestCollectivePlanLookup:
         with pytest.raises(MetadataUnavailableError):
             self._write(sim, comm, [self.RANGE] * 4)
         assert sorted(system.session("/f").writers) == [0, 1]
+
+
+def _walked_tier_bytes(session):
+    """Reference: live bytes per tier from a walk over every writer's
+    layers, tiers in first-writer order."""
+    out = {}
+    for writer in session.writers.values():
+        for tier, nbytes in zip(writer.vas.tiers, writer.bytes_per_layer()):
+            out[tier] = out.get(tier, 0.0) + nbytes
+    return out
+
+
+class TestTierTotals:
+    """``cached_bytes_per_tier`` reads running totals the logs keep."""
+
+    def _check(self, session):
+        totals = session.cached_bytes_per_tier()
+        walked = _walked_tier_bytes(session)
+        assert totals == walked
+        assert list(totals) == list(walked) == [
+            StorageTier.DRAM, StorageTier.SHARED_BB, StorageTier.PFS]
+
+    def test_totals_equal_the_walk(self):
+        sim = Simulation(MachineSpec.small_test(nodes=2))
+        sim.install_univistor(UniviStorConfig.dram_bb())
+        system = sim.univistor
+        comm = sim.comm("app", 4, procs_per_node=2)
+        # 1.5 GiB per rank overflows its 1 GiB DRAM log into the BB.
+        block = int(1536 * MiB)
+
+        def write(path, pattern, offset, length):
+            fh = yield from sim.open(comm, path, "w", fstype="univistor")
+            yield from fh.write_at_all([
+                IORequest(r, offset + r * block, length,
+                          PatternPayload(pattern + r)) for r in range(4)])
+            yield from fh.close()
+
+        sim.run_to_completion(write("/a", 1, 0, block))
+        a = system.session("/a", create=False)
+        self._check(a)
+        assert a.cached_bytes_per_tier()[StorageTier.SHARED_BB] > 0
+        # An overwrite of each rank's middle frees the old segments.
+        sim.run_to_completion(write("/a", 10, 300 * MiB, 900 * MiB))
+        self._check(a)
+        assert sum(a.cached_bytes_per_tier().values()) == 4 * block
+        sim.run_to_completion(write("/b", 20, 0, 64 * MiB))
+        b = system.session("/b", create=False)
+        self._check(b)
+        system.crash_node(1)
+        self._check(a)
+        self._check(b)
+        system.delete_file("/b")
+        self._check(a)
+        self._check(b)

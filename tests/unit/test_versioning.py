@@ -23,7 +23,8 @@ from repro import (
 from repro.core import client as client_module
 from repro.core.client import UniviStorDriver
 from repro.core.flush import FlushService
-from repro.core.metadata import MetadataUnavailableError, record_runs
+from repro.core.errors import DataLossError
+from repro.core.metadata import MetadataUnavailableError
 from repro.core.versioning import VersionMap, stamp_with_epochs
 from repro.units import KiB
 
@@ -207,25 +208,27 @@ class TestCollectiveStamping:
 
 # -- the flush ------------------------------------------------------------
 
-def _per_run_materialise(self, session):
-    """Reference: the per-run flush, one ``copy_from_cuts`` per run."""
+def _per_record_materialise(self, session):
+    """Reference: the per-record flush, one ``resolve`` and one
+    ``copy_from_cuts`` per record."""
     out = self.machine.pfs_files.create(session.path)
-    runs = record_runs(self.system.metadata.records_of(session.fid))
     lost_bytes = 0.0
-    for run, extents in self.system.read_service.copy_runs(session, runs):
-        if extents is None:
-            lost_bytes += run[0].length
+    for record in self.system.metadata.records_of(session.fid):
+        try:
+            extents = self.system.read_service.resolve(session, record)
+        except DataLossError:
+            lost_bytes += record.length
             continue
         for extent in extents:
             out.write_at(extent.offset, extent.length, extent.payload,
                          extent.payload_offset)
-        session.pfs_versions.copy_from_cuts(
-            session.data_versions, [r.offset for r in run] + [run[-1].end])
+        session.pfs_versions.copy_from_cuts(session.data_versions,
+                                            [record.offset, record.end])
     if lost_bytes > 0:
         self.system.telemetry_hook("flush-lost", session.path, lost_bytes)
 
 
-def _flush_with_lost_record(per_run):
+def _flush_with_lost_record(per_record):
     sim = Simulation(MachineSpec.small_test(nodes=2))
     sim.install_univistor(UniviStorConfig.dram_only(
         metadata_range_size=RANGE))
@@ -259,9 +262,9 @@ def _flush_with_lost_record(per_run):
     splices = mock.patch.object(VersionMap, "copy_from_cuts", autospec=True,
                                 side_effect=VersionMap.copy_from_cuts)
     patches = [splices]
-    if per_run:
+    if per_record:
         patches.append(mock.patch.object(FlushService, "_materialise_to_pfs",
-                                         _per_run_materialise))
+                                         _per_record_materialise))
     for patch in patches:
         patch.start()
     try:
@@ -280,9 +283,10 @@ def _flush_with_lost_record(per_run):
 class TestFlushStamping:
     def test_per_stretch_equals_per_run_with_a_lost_record(self):
         """A lost record mid-file ends a stretch; the PFS bytes and
-        ``pfs_versions`` equal the per-run flush's, with fewer splices."""
-        stretched, calls = _flush_with_lost_record(per_run=False)
-        reference, ref_calls = _flush_with_lost_record(per_run=True)
+        ``pfs_versions`` equal the per-record flush's, with fewer
+        splices."""
+        stretched, calls = _flush_with_lost_record(per_record=False)
+        reference, ref_calls = _flush_with_lost_record(per_record=True)
         assert stretched == reference
         spans, _data, lost, victim = stretched
         assert lost == victim.length
@@ -292,7 +296,8 @@ class TestFlushStamping:
         assert [(s[0], s[1], s[2]) for s in kept] == [
             (victim.offset, victim.end, 1)]
         # First flush: one stretch.  Re-flush: the two stretches either
-        # side of the victim, where the per-run flush spliced once per
-        # run (ranks 0, 2 and 3) and once per surviving piece of rank 1.
+        # side of the victim, where the per-record flush spliced once
+        # per record (four ranks of three ranges each) and once per
+        # surviving record on the re-flush.
         assert calls == 1 + 2
-        assert ref_calls == 4 + 5
+        assert ref_calls == 12 + 11

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MachineSpec, Simulation, UniviStorConfig
+from repro import IORequest, MachineSpec, Simulation, UniviStorConfig
 from repro.storage.datamodel import Extent, PatternPayload
 from repro.units import KiB, MiB
 from repro.workloads import (
@@ -65,6 +65,50 @@ class TestHdf5Layout:
         req = layout.write_requests("a", payload_seed_base=7)[1]
         expected = layout.expected_block_payload("a", 1, 7)
         assert req.payload.same_source(expected)
+
+    def test_read_requests_check_ranks(self):
+        layout = Hdf5Layout([DatasetSpec("a", 100, 4)])
+        with pytest.raises(ValueError):
+            layout.read_requests("a", ranks=[0, 4])
+        with pytest.raises(KeyError):
+            layout.read_requests("nope")
+        with pytest.raises(KeyError):
+            layout.dataset("nope")
+
+    def test_request_lists_match_block_arithmetic(self):
+        """The micro, VPIC-IO and BD-CATS-IO request lists are the ones
+        per-rank block arithmetic gives: dataset ``k`` of ``n`` blocks
+        of ``size`` starts ``k * n * size`` past the metadata region."""
+        sim = make_sim()
+        writers = sim.comm("vpic", 6, procs_per_node=3)
+        readers = sim.comm("bdcats", 4, procs_per_node=2)
+        size = 3 * MiB
+        micro = MicroBench(sim, writers, "/m", "univistor",
+                           bytes_per_proc=size, payload_seed_base=5)
+        meta = METADATA_REGION_BYTES
+        assert micro.layout.write_requests("data", 5) == [
+            IORequest(r, meta + r * size, size, PatternPayload(5 + r))
+            for r in range(6)]
+        assert micro.layout.read_requests("data") == [
+            IORequest(r, meta + r * size, size) for r in range(6)]
+        vpic = VpicIO(sim, writers, "univistor", steps=2,
+                      compute_seconds=0, particles_per_proc=1000)
+        bdcats = BdCatsIO(sim, readers, vpic, "univistor")
+        prop_bytes = vpic.bytes_per_property
+        # Reader r gets writer blocks [6r // 4, 6(r + 1) // 4).
+        reader_blocks = [(0, 1), (1, 2), (3, 1), (4, 2)]
+        for step in range(2):
+            layout = vpic.layout(step)
+            for k, prop in enumerate(VPIC_PROPERTIES):
+                base = meta + k * 6 * prop_bytes
+                seed = vpic.seed_base(step, k)
+                assert layout.write_requests(prop, seed) == [
+                    IORequest(r, base + r * prop_bytes, prop_bytes,
+                              PatternPayload(seed + r)) for r in range(6)]
+                assert bdcats._read_requests(step, prop) == [
+                    IORequest(r, base + first * prop_bytes,
+                              count * prop_bytes)
+                    for r, (first, count) in enumerate(reader_blocks)]
 
 
 def make_sim(nodes=2):
