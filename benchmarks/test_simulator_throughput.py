@@ -14,6 +14,7 @@ from repro.core import client as client_module
 from repro.core import location_cache as location_cache_module
 from repro.core import metadata as metadata_module
 from repro.core.config import StorageTier, UniviStorConfig
+from repro.core.dhp import DHPWriter, LogFile
 from repro.core.flush import FlushService
 from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
@@ -302,6 +303,43 @@ class TestMetadataFastPath:
         assert counts["runs"] >= 8 * procs
         assert counts["reads"] == counts["runs"]
         assert counts["validated"] == 0
+
+
+    def test_lean_write_state_per_rank(self, monkeypatch):
+        """A 1024-rank DRAM micro write: each created log and writer runs
+        its constructor once (the per-plan checks happen once per layer
+        plan, not per rank), and no append-only log holds a per-chunk
+        list."""
+        counts = {"logs": 0, "writers": 0}
+        log_init, writer_init = LogFile.__init__, DHPWriter.__init__
+
+        def counting_log(*args, **kwargs):
+            counts["logs"] += 1
+            log_init(*args, **kwargs)
+
+        def counting_writer(*args, **kwargs):
+            counts["writers"] += 1
+            writer_init(*args, **kwargs)
+
+        monkeypatch.setattr(LogFile, "__init__", counting_log)
+        monkeypatch.setattr(DHPWriter, "__init__", counting_writer)
+        procs = 1024
+        sim, fstype = build_simulation(procs, "UniviStor/DRAM")
+        comm = sim.comm("iobench", size=procs)
+        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
+                           bytes_per_proc=1 * MiB)
+        sim.run_to_completion(bench.write_phase())
+
+        writers = sim.univistor.session("/pfs/m.h5").writers
+        logs = [log for writer in writers.values()
+                for log in writer.created_logs]
+        assert len(writers) == procs
+        assert counts["writers"] == len(writers)
+        assert counts["logs"] == len(logs) == procs
+        for log in logs:
+            names = getattr(type(log), "__slots__", None) or vars(log)
+            assert not [name for name in names
+                        if isinstance(getattr(log, name), list)]
 
 
 class TestHotRangeThroughput:

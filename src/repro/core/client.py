@@ -184,7 +184,9 @@ class UniviStorDriver(ADIODriver):
                 self._free_overwritten(session, req)
                 segments = writer.write(req.offset, req.length, req.payload,
                                         req.payload_offset)
-                node = comm.node_of_rank(req.rank)
+                # The node the writer lookup found (the one holding the
+                # rank's node-local logs).
+                node = writer.node
                 rank_local_tiers = set()
                 rank_bb = False
                 rank_pfs = False

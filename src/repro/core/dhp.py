@@ -16,7 +16,9 @@ that never spills owns one log, not one per layer.
 A log's space is a sequence of fixed-size **chunks**; data is appended
 inside a chunk log-structured.  A **free-chunk stack** records reusable
 chunk IDs: a fully dead chunk (all its bytes overwritten or deleted) is
-pushed back and reused before fresh chunks are taken.
+pushed back and reused before fresh chunks are taken.  A log nothing
+was freed from is a fill pointer; its per-chunk live bytes and its
+free-chunk stack appear at its first free.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.cluster.node import ComputeNode
 from repro.core.config import StorageTier
 from repro.core.va import VirtualAddressSpace
 from repro.storage.datamodel import Payload
@@ -74,45 +77,61 @@ class LogFile:
     the same DRAM/BB space).  ``sim_file`` holds the real bytes.
     ``tier_totals``, when given, is a ``{tier: live bytes}`` ledger
     (with an entry for ``tier``) shared by a file's logs; the log keeps
-    it current with :attr:`bytes_live`.
+    it current with :attr:`bytes_live`.  ``max_chunks``, when given,
+    says ``capacity`` and ``chunk_size`` were already checked and
+    converted (:meth:`PendingLog.make` does it once per layer plan).
+
+    An append-only log is described by its fill pointer: the number of
+    allocated chunks and the active chunk's fill.  Every allocated chunk
+    but the active one is full, so no per-chunk usage is stored.  The
+    per-chunk live bytes and the free-chunk stack are created by the
+    first :meth:`free_segment` (docs/MODEL.md §2).
     """
+
+    __slots__ = ("tier", "capacity", "chunk_size", "sim_file", "device",
+                 "max_chunks", "tier_totals", "bytes_written", "bytes_live",
+                 "_chunks", "_active", "_fill", "_live", "_free")
 
     def __init__(self, tier: StorageTier, capacity: float, chunk_size: float,
                  sim_file: SimFile, device: Optional[StorageDevice] = None,
-                 tier_totals: Optional[Dict[StorageTier, float]] = None):
-        if capacity <= 0:
-            raise ValueError(f"log capacity must be positive, got {capacity}")
-        if chunk_size <= 0:
-            raise ValueError(f"chunk size must be positive, got {chunk_size}")
+                 tier_totals: Optional[Dict[StorageTier, float]] = None,
+                 *, max_chunks: Union[int, float, None] = None):
+        if max_chunks is None:
+            capacity, chunk_size, max_chunks = _geometry(capacity,
+                                                         chunk_size)
         self.tier = tier
-        self.capacity = float(capacity)
-        self.chunk_size = float(chunk_size)
+        self.capacity = capacity
+        self.chunk_size = chunk_size
         self.sim_file = sim_file
         self.device = device
-        self.max_chunks = (math.inf if capacity == math.inf
-                           else max(1, int(capacity // chunk_size)))
-        #: Bytes appended per allocated chunk, indexed by chunk id.
-        self._chunk_used: List[float] = []
-        #: Live (not-yet-freed) bytes per chunk.
-        self._chunk_live: List[float] = []
-        self._free_stack: List[int] = []
-        self._active: Optional[int] = None  # chunk being appended to
+        self.max_chunks = max_chunks
+        self.tier_totals = tier_totals
         self.bytes_written = 0.0
         self.bytes_live = 0.0
-        self.tier_totals = tier_totals
+        #: Allocated chunks; chunk ids are 0 .. _chunks - 1.
+        self._chunks = 0
+        self._active: Optional[int] = None  # chunk being appended to
+        #: Bytes appended to the active chunk (every other one is full).
+        self._fill = 0.0
+        #: Live (not-yet-freed) bytes per chunk and the free-chunk stack,
+        #: both ``None`` until the first free.
+        self._live: Optional[List[float]] = None
+        self._free: Optional[List[int]] = None
 
     # -- queries ---------------------------------------------------------
     @property
     def allocated_chunks(self) -> int:
-        return len(self._chunk_used)
+        return self._chunks
 
     @property
     def free_stack(self) -> List[int]:
-        return list(self._free_stack)
+        return [] if self._free is None else list(self._free)
 
     def chunk(self, chunk_id: int) -> Chunk:
-        return Chunk(chunk_id, self._chunk_used[chunk_id],
-                     self._chunk_live[chunk_id])
+        cid = range(self._chunks)[chunk_id]  # list indexing rules
+        used = self._fill if cid == self._active else self.chunk_size
+        live = used if self._live is None else self._live[cid]
+        return Chunk(chunk_id, used, live)
 
     def remaining_in_log(self) -> float:
         """Space the log could still accept (ignoring device pressure)."""
@@ -120,29 +139,33 @@ class LogFile:
             return math.inf
         remaining = 0.0
         if self._active is not None:
-            remaining += self.chunk_size - self._chunk_used[self._active]
-        fresh = self.max_chunks - self.allocated_chunks
-        remaining += (fresh + len(self._free_stack)) * self.chunk_size
+            remaining += self.chunk_size - self._fill
+        fresh = self.max_chunks - self._chunks
+        if self._free:
+            fresh += len(self._free)
+        remaining += fresh * self.chunk_size
         return remaining
 
     # -- allocation -------------------------------------------------------
     def _take_chunk(self) -> int:
         """Pop a free chunk or mint a fresh one; charges the device."""
-        if self._free_stack:
-            cid = self._free_stack.pop()
-            self._chunk_used[cid] = 0.0
-            self._chunk_live[cid] = 0.0
+        if self._free:
+            cid = self._free.pop()
+            self._live[cid] = 0.0
+            self._fill = 0.0
             return cid
-        if self.allocated_chunks >= self.max_chunks:
+        if self._chunks >= self.max_chunks:
             raise LogFullError(f"log on {self.tier.value} is full")
         if self.device is not None:
             try:
                 self.device.allocate(self.chunk_size)
             except CapacityError as err:
                 raise LogFullError(str(err)) from None
-        self._chunk_used.append(0.0)
-        self._chunk_live.append(0.0)
-        return self.allocated_chunks - 1
+        if self._live is not None:
+            self._live.append(0.0)
+        self._fill = 0.0
+        self._chunks += 1
+        return self._chunks - 1
 
     def append(self, length: int, payload: Payload,
                payload_offset: int = 0) -> List[Tuple[float, int]]:
@@ -158,51 +181,51 @@ class LogFile:
             raise ValueError(f"append length must be positive, got {length}")
         runs: List[Tuple[float, int]] = []
         placed = 0
+        chunk = self.chunk_size
         while placed < length:
             if self._active is None:
                 # Fast path: with no reusable chunks, a large append takes
                 # a contiguous run of fresh chunks in one batch (a single
                 # device charge and a single extent) instead of looping
                 # chunk by chunk — O(1) per append instead of O(chunks).
-                if not self._free_stack:
+                if not self._free:
                     n_chunks = self._take_fresh_batch(length - placed)
                     if n_chunks:
-                        chunk = self.chunk_size
-                        first = self.allocated_chunks
+                        first = self._chunks
                         take = int(min(length - placed, n_chunks * chunk))
                         self._record_run(runs, first * chunk, take, payload,
                                          payload_offset + placed)
                         placed += take
-                        # The batch's chunks enter the lists with their
-                        # final usage: full chunks, then the partial
-                        # tail (which stays active) and any empty ones.
+                        self._chunks = first + n_chunks
+                        # The batch fills its chunks in order; only a
+                        # partial tail stays active.
                         full, rem = divmod(take, int(chunk))
-                        used = [chunk] * min(full, n_chunks)
                         if full < n_chunks:
-                            used.append(rem)
-                            used.extend([0.0] * (n_chunks - full - 1))
-                        self._chunk_used.extend(used)
-                        self._chunk_live.extend(used)
-                        if used[-1] < chunk:
-                            self._active = first + n_chunks - 1
+                            self._active = first + full
+                            self._fill = rem
+                        if self._live is not None:
+                            self._live.extend([chunk] * full)
+                            if full < n_chunks:
+                                self._live.append(rem)
                         continue
                 try:
                     self._active = self._take_chunk()
                 except LogFullError:
                     break
-            used = self._chunk_used[self._active]
-            space = self.chunk_size - used
+            used = self._fill
+            space = chunk - used
             if space <= 0:
                 self._active = None
                 continue
             take = int(min(space, length - placed))
-            addr = self._active * self.chunk_size + used
+            addr = self._active * chunk + used
             self._record_run(runs, addr, take, payload,
                              payload_offset + placed)
-            self._chunk_used[self._active] += take
-            self._chunk_live[self._active] += take
+            self._fill = used + take
+            if self._live is not None:
+                self._live[self._active] += take
             placed += take
-            if self._chunk_used[self._active] >= self.chunk_size:
+            if self._fill >= chunk:
                 self._active = None
         return runs
 
@@ -230,7 +253,7 @@ class LogFile:
         """
         want = max(1, math.ceil(nbytes / self.chunk_size))
         if self.max_chunks is not math.inf:
-            want = min(want, int(self.max_chunks - self.allocated_chunks))
+            want = min(want, int(self.max_chunks - self._chunks))
             if want <= 0:
                 return 0
         if self.device is not None:
@@ -246,27 +269,34 @@ class LogFile:
         """Mark bytes dead; fully dead chunks go back on the free stack."""
         if length <= 0:
             return
+        live = self._live
+        if live is None:
+            # First free: every chunk is still as appended.
+            live = self._live = [self.chunk_size] * self._chunks
+            if self._active is not None:
+                live[self._active] = self._fill
+            self._free = []
+        free = self._free
         remaining = length
         addr = physical_address
         while remaining > 0:
             cid = int(addr // self.chunk_size)
-            if cid >= self.allocated_chunks:
+            if cid >= self._chunks:
                 raise ValueError(
                     f"free of unallocated chunk {cid} (address {addr})")
             in_chunk = min(remaining,
                            self.chunk_size - (addr - cid * self.chunk_size))
-            self._chunk_live[cid] -= in_chunk
+            live[cid] -= in_chunk
             self.bytes_live -= in_chunk
             if self.tier_totals is not None:
                 self.tier_totals[self.tier] -= in_chunk
-            if self._chunk_live[cid] < -1e-6:
+            if live[cid] < -1e-6:
                 raise ValueError(f"chunk {cid} live bytes went negative")
-            if (self._chunk_live[cid] <= 1e-6
-                    and self._chunk_used[cid] >= self.chunk_size - 1e-6
-                    and cid != self._active):
-                # Chunk fully written and fully dead: reusable (§II-B1).
-                if cid not in self._free_stack:
-                    self._free_stack.append(cid)
+            if live[cid] <= 1e-6 and cid != self._active:
+                # Chunk fully written (every inactive chunk is) and fully
+                # dead: reusable (§II-B1).
+                if cid not in free:
+                    free.append(cid)
             addr += in_chunk
             remaining -= in_chunk
 
@@ -278,10 +308,24 @@ class LogFile:
         return out
 
 
+def _geometry(capacity: float, chunk_size: float
+              ) -> Tuple[float, float, Union[int, float]]:
+    """Checked ``(capacity, chunk_size, max_chunks)`` of a log."""
+    if capacity <= 0:
+        raise ValueError(f"log capacity must be positive, got {capacity}")
+    if chunk_size <= 0:
+        raise ValueError(f"chunk size must be positive, got {chunk_size}")
+    max_chunks = (math.inf if capacity == math.inf
+                  else max(1, int(capacity // chunk_size)))
+    return float(capacity), float(chunk_size), max_chunks
+
+
 class PendingLog(NamedTuple):
     """A layer's log before its first append: everything needed to
     create it.  ``path`` is a template formatted with the owning rank;
-    ``tier_totals`` is the file's ledger the log keeps current."""
+    ``tier_totals`` is the file's ledger the log keeps current;
+    ``max_chunks``, when set, marks ``capacity`` and ``chunk_size`` as
+    checked (see :meth:`make`)."""
 
     tier: StorageTier
     capacity: float
@@ -290,11 +334,35 @@ class PendingLog(NamedTuple):
     device: Optional[StorageDevice]
     path: str
     tier_totals: Optional[Dict[StorageTier, float]] = None
+    max_chunks: Union[int, float, None] = None
+
+    @classmethod
+    def make(cls, tier: StorageTier, capacity: float, chunk_size: float,
+             store: FileStore, device: Optional[StorageDevice], path: str,
+             tier_totals: Optional[Dict[StorageTier, float]] = None
+             ) -> "PendingLog":
+        """A pending log whose geometry is checked once, here, rather
+        than by every log created from it."""
+        capacity, chunk_size, max_chunks = _geometry(capacity, chunk_size)
+        return cls(tier, capacity, chunk_size, store, device, path,
+                   tier_totals, max_chunks)
 
     def create(self, rank: int) -> LogFile:
         return LogFile(self.tier, self.capacity, self.chunk_size,
                        self.store.create(self.path.format(rank=rank)),
-                       device=self.device, tier_totals=self.tier_totals)
+                       self.device, self.tier_totals,
+                       max_chunks=self.max_chunks)
+
+
+def _check_layers(vas: VirtualAddressSpace,
+                  logs: Sequence[Union[LogFile, PendingLog]]) -> None:
+    """One log per VA layer, each on its layer's tier."""
+    if len(logs) != vas.layers:
+        raise ValueError("one log per VA layer required")
+    for layer, (log, tier) in enumerate(zip(logs, vas.tiers)):
+        if log.tier is not tier:
+            raise ValueError(
+                f"log {layer} tier {log.tier} != VA tier {tier}")
 
 
 class LayerPlan(NamedTuple):
@@ -304,6 +372,14 @@ class LayerPlan(NamedTuple):
     vas: VirtualAddressSpace
     logs: Tuple[PendingLog, ...]
 
+    @classmethod
+    def make(cls, vas: VirtualAddressSpace,
+             logs: Sequence[PendingLog]) -> "LayerPlan":
+        """A plan whose logs are checked against ``vas`` once, here;
+        its writers are made with ``checked=True``."""
+        _check_layers(vas, logs)
+        return cls(vas, tuple(logs))
+
 
 class DHPWriter:
     """DHP for one (file, rank): logs across layers + spill logic.
@@ -311,19 +387,23 @@ class DHPWriter:
     The ``logs`` argument holds one entry per VA layer: a created
     :class:`LogFile`, or a :class:`PendingLog` the writer turns into one
     on its first append to that layer.  :attr:`created_logs` lists the
-    created ones; :meth:`log` looks one up by layer.
+    created ones; :meth:`log` looks one up by layer.  ``node`` is the
+    compute node the rank runs on (the one its node-local logs live on);
+    ``checked`` says ``logs`` already passed the layer check
+    (:meth:`LayerPlan.make`).
     """
 
+    __slots__ = ("rank", "vas", "node", "_logs", "_spill_level")
+
     def __init__(self, rank: int, vas: VirtualAddressSpace,
-                 logs: Sequence[Union[LogFile, PendingLog]]):
-        if len(logs) != vas.layers:
-            raise ValueError("one log per VA layer required")
-        for layer, (log, tier) in enumerate(zip(logs, vas.tiers)):
-            if log.tier is not tier:
-                raise ValueError(
-                    f"log {layer} tier {log.tier} != VA tier {tier}")
+                 logs: Sequence[Union[LogFile, PendingLog]],
+                 node: Optional[ComputeNode] = None, *,
+                 checked: bool = False):
+        if not checked:
+            _check_layers(vas, logs)
         self.rank = rank
         self.vas = vas
+        self.node = node
         self._logs: List[Union[LogFile, PendingLog]] = list(logs)
         #: Index of the shallowest layer that may still accept data; once
         #: a layer rejects an append the writer never returns to it (logs
@@ -376,6 +456,14 @@ class DHPWriter:
                 layer += 1
                 self._spill_level = max(self._spill_level, layer)
         return segments
+
+    def bytes_live_on(self, tier: StorageTier) -> float:
+        """Live bytes in this rank's created logs on ``tier``."""
+        total = 0.0
+        for log in self._logs:
+            if log.tier is tier and type(log) is not PendingLog:
+                total += log.bytes_live
+        return total
 
     @property
     def created_logs(self) -> List[LogFile]:

@@ -176,12 +176,14 @@ class FlushService:
         return pending
 
     def _per_node_cached(self, session, tier: StorageTier) -> Dict[int, float]:
+        """Live bytes on ``tier`` per node holding them, nodes in the
+        order their first writer was made."""
         out: Dict[int, float] = {}
-        for rank, writer in session.writers.items():
-            node = session.node_of_proc(rank)
-            for log in writer.created_logs:
-                if log.tier is tier and log.bytes_live > 0:
-                    out[node.node_id] = out.get(node.node_id, 0.0) + log.bytes_live
+        for writer in session.writers.values():
+            nbytes = writer.bytes_live_on(tier)
+            if nbytes > 0:
+                node_id = writer.node.node_id
+                out[node_id] = out.get(node_id, 0.0) + nbytes
         return out
 
     def _materialise_to_pfs(self, session) -> None:

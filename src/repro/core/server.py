@@ -581,7 +581,7 @@ class UniviStorServers:
             if plan is None:
                 plan = node_plans[node.node_id] = self._plan_for(
                     session, comm, node)
-        return DHPWriter(rank, plan.vas, plan.logs)
+        return DHPWriter(rank, plan.vas, plan.logs, node, checked=True)
 
     def _plan_for(self, session: FileSession, comm: Communicator,
                   node: ComputeNode) -> LayerPlan:
@@ -614,12 +614,12 @@ class UniviStorServers:
             tier_node = node if tier.is_node_local else None
             device = (None if tier is StorageTier.PFS
                       else self.tier_device(tier, tier_node))
-            logs.append(PendingLog(
+            logs.append(PendingLog.make(
                 tier, capacity, self.config.chunk_size,
                 self.tier_store(tier, tier_node), device,
                 f"/univistor/{session.fid}/{{rank}}/{tier.value}.log",
                 totals))
-        return LayerPlan(VirtualAddressSpace(tiers, capacities), tuple(logs))
+        return LayerPlan.make(VirtualAddressSpace(tiers, capacities), logs)
 
     # -- teardown ------------------------------------------------------------
     def delete_file(self, path: str) -> None:

@@ -16,11 +16,17 @@ falls into) and the physical address within that layer's log.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import List, Sequence, Tuple
 
 from repro.core.config import StorageTier
 
 __all__ = ["VirtualAddressSpace"]
+
+#: How far (in bytes) a resolved address may sit from a whole byte and
+#: still be read as that byte; wider for large VAs, whose float spacing
+#: is coarser.
+_SNAP = 1e-6
 
 
 class VirtualAddressSpace:
@@ -88,7 +94,15 @@ class VirtualAddressSpace:
                 f"virtual address {va} beyond the addressable space "
                 f"({self._bases[-1]})")
         layer = bisect.bisect_right(self._bases, va) - 1
-        return layer, va - self._bases[layer]
+        addr = va - self._bases[layer]
+        if not addr.is_integer():
+            # Log addresses are whole bytes: a VA summed from a fractional
+            # layer base (a c/p capacity) can come back a rounding error
+            # off one, which int() would truncate to the byte below.
+            whole = round(addr)
+            if abs(addr - whole) <= max(_SNAP, 8 * math.ulp(va)):
+                addr = float(whole)
+        return layer, addr
 
     def _check_layer(self, layer: int) -> None:
         if not 0 <= layer < len(self.tiers):

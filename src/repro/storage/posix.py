@@ -71,9 +71,11 @@ class FileStore:
 
     @staticmethod
     def _norm(path: str) -> str:
-        if not path or not path.startswith("/"):
+        if not path or path[0] != "/":
             raise ValueError(f"path must be absolute, got {path!r}")
-        return posixpath.normpath(path)
+        if "//" in path or "/." in path or (path[-1] == "/" and path != "/"):
+            return posixpath.normpath(path)
+        return path  # already normal
 
     def create(self, path: str, exist_ok: bool = True) -> SimFile:
         path = self._norm(path)

@@ -10,7 +10,6 @@ and replication pass must leave exactly what it leaves.
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +29,7 @@ UNIT = int(8 * KiB)
 # Four metadata servers: with one crashed, a split range can list
 # overlapping records (the records_of overlap noted in CHANGES.md).  Two
 # ranks per node keep every c/p log capacity a whole number of bytes;
-# see test_resolve_with_a_fractional_layer_base for why.
+# test_resolve_with_a_fractional_layer_base covers three.
 NODES, PER_NODE = 2, 2
 
 
@@ -196,15 +195,12 @@ class TestCopyPathEquivalence:
                    for a, b in zip(records, records[1:]))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ReadService.resolve truncates a float physical address: with three "
-    "ranks per node the DRAM log holds 256 KiB / 3 bytes, so BB-layer "
-    "VAs are fractional, va - base lands just below a whole byte and "
-    "int() reads and places the record one byte early"))
 def test_resolve_with_a_fractional_layer_base():
     """Every record resolves to its own window.  Rank 0 spills into the
     BB and then overwrites, so a range-cut piece of a BB record carries
-    a VA summed from a fractional layer base."""
+    a VA summed from a fractional layer base: with three ranks per node
+    the DRAM log holds 256 KiB / 3 bytes, and ``va - base`` can land a
+    rounding error below a whole byte, which the VA space snaps back."""
     sim, comm = _deploy(per_node=3)
     for version, length in enumerate((1, 10, 9)):
         _write(sim, comm, version, [(0, 0, length)])

@@ -500,3 +500,125 @@ class TestLogFileAgainstChunkModel:
             assert log.bytes_live == sum(n for _a, n in live)
             if device is not None:
                 assert device.used == len(model.used) * chunk
+
+
+def per_chunk_state(log):
+    """The names of a log's attributes that hold a list."""
+    return [name for name in type(log).__slots__
+            if isinstance(getattr(log, name), list)]
+
+
+_appends = st.lists(st.integers(1, 60), min_size=1, max_size=12)
+
+
+class TestLeanLogFile:
+    """An append-only log is a fill pointer; its per-chunk live bytes and
+    free stack appear at the first free, equal to what per-chunk lists
+    would have held."""
+
+    def test_slotted_log_and_writer(self):
+        w = make_writer()
+        w.write(0, 45, PatternPayload(1))
+        for obj in (w, *w.created_logs):
+            assert not hasattr(obj, "__dict__")
+        assert not hasattr(w.created_logs[0], "_chunk_used")
+
+    @given(chunk=st.integers(1, 12),
+           capacity=st.one_of(st.integers(1, 150), st.just(math.inf)),
+           appends=_appends)
+    @settings(max_examples=150, deadline=None)
+    def test_append_only_log_holds_no_per_chunk_state(self, chunk, capacity,
+                                                      appends):
+        log = make_log(capacity=capacity, chunk=chunk)
+        model = _ChunkModel(capacity, chunk, math.inf)
+        for length in appends:
+            assert log.append(length, PatternPayload(1)) == model.append(
+                length)
+        assert per_chunk_state(log) == []
+        assert log.free_stack == []
+        assert [log.chunk(i) for i in range(log.allocated_chunks)] == [
+            Chunk(i, u, v)
+            for i, (u, v) in enumerate(zip(model.used, model.live))]
+
+    @given(chunk=st.integers(1, 12),
+           capacity=st.one_of(st.integers(1, 150), st.just(math.inf)),
+           appends=_appends, pick=st.integers(0, 10 ** 6),
+           at=st.integers(0, 10 ** 6), want=st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_first_free_creates_the_per_chunk_lists(
+            self, chunk, capacity, appends, pick, at, want):
+        log = make_log(capacity=capacity, chunk=chunk)
+        model = _ChunkModel(capacity, chunk, math.inf)
+        runs = []
+        for length in appends:
+            runs.extend(log.append(length, PatternPayload(1)))
+            model.append(length)
+        if not runs:
+            return
+        addr, length = runs[pick % len(runs)]
+        skip = at % length
+        n = min(want, length - skip)
+        log.free_segment(addr + skip, n)
+        model.free_segment(int(addr) + skip, n)
+        assert sorted(per_chunk_state(log)) == ["_free", "_live"]
+        assert log._live == model.live
+        assert log._free == model.free
+        assert log.remaining_in_log() == model.remaining_in_log()
+
+    def test_empty_free_creates_nothing(self):
+        log = make_log()
+        log.append(25, PatternPayload(1))
+        log.free_segment(0, 0)
+        assert per_chunk_state(log) == []
+
+    def test_free_of_an_unallocated_chunk_is_refused(self):
+        log = make_log(chunk=10)
+        log.append(15, PatternPayload(1))
+        with pytest.raises(ValueError, match="unallocated"):
+            log.free_segment(20, 5)
+        assert log.bytes_live == 15
+
+    def test_chunk_indexes_like_a_list(self):
+        log = make_log(chunk=10)
+        log.append(25, PatternPayload(1))
+        assert log.chunk(-1) == Chunk(-1, 5, 5)
+        with pytest.raises(IndexError):
+            log.chunk(3)
+
+
+class TestPlanChecks:
+    """A layer plan checks its geometry and layer alignment once; the
+    logs and writers made from it skip those checks and come out the
+    same."""
+
+    def test_checked_plan_logs_equal_unchecked_ones(self):
+        store = FileStore()
+        checked = PendingLog.make(StorageTier.DRAM, 25, 10, store, None,
+                                  "/{rank}/a")
+        assert checked.capacity == 25.0 and checked.max_chunks == 2
+        plain = checked._replace(max_chunks=None, path="/{rank}/b")
+        for pending in (checked, plain):
+            log = pending.create(0)
+            assert (log.capacity, log.chunk_size, log.max_chunks) == (
+                25.0, 10.0, 2)
+            assert log.append(30, PatternPayload(1)) == [(0.0, 20)]
+
+    def test_plan_geometry_is_checked(self):
+        with pytest.raises(ValueError, match="capacity"):
+            PendingLog.make(StorageTier.DRAM, 0, 10, FileStore(), None, "/x")
+        with pytest.raises(ValueError, match="chunk size"):
+            PendingLog.make(StorageTier.DRAM, 10, 0, FileStore(), None, "/x")
+
+    def test_plan_alignment_is_checked(self):
+        plan = make_plan()
+        with pytest.raises(ValueError, match="VA tier"):
+            LayerPlan.make(plan.vas, plan.logs[::-1])
+        with pytest.raises(ValueError, match="one log per VA layer"):
+            LayerPlan.make(plan.vas, plan.logs[:2])
+        made = LayerPlan.make(plan.vas, list(plan.logs))
+        assert made == plan
+        checked = DHPWriter(0, made.vas, made.logs, checked=True)
+        unchecked = plan_writer(make_plan(), 0)
+        for offset in range(0, 60, 12):
+            assert (checked.write(offset, 12, PatternPayload(offset))
+                    == unchecked.write(offset, 12, PatternPayload(offset)))

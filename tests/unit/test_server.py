@@ -1,6 +1,7 @@
 """Unit tests for the UniviStor server program (sessions, log plumbing)."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -9,12 +10,13 @@ from repro import IORequest, Simulation
 from repro.cluster.spec import MachineSpec
 from repro.cluster.topology import Machine
 from repro.core.config import StorageTier, UniviStorConfig
+from repro.core.dhp import DHPWriter, LogFile
 from repro.core.metadata import MetadataUnavailableError
 from repro.core.server import SERVER_PROGRAM, UniviStorServers
 from repro.sim import Engine
 from repro.simmpi import Communicator
 from repro.storage.datamodel import PatternPayload
-from repro.units import KiB, MiB
+from repro.units import GiB, KiB, MiB
 
 
 def make_system(config=None, nodes=2):
@@ -359,3 +361,81 @@ class TestTierTotals:
         system.delete_file("/b")
         self._check(a)
         self._check(b)
+
+
+class TestLeanWriteState:
+    """Per-rank write state: one constructor run per log and writer
+    created, no per-chunk list in an append-only log, and overwrites
+    that free the right chunk under a fractional layer base."""
+
+    def _collective(self, sim, comm, path, requests):
+        def app():
+            fh = yield from sim.open(comm, path, "w", fstype="univistor")
+            yield from fh.write_at_all(requests)
+            yield from fh.close()
+
+        sim.run_to_completion(app())
+
+    def test_one_constructor_run_per_log_and_writer(self):
+        counts = {"logs": 0, "writers": 0}
+        log_init, writer_init = LogFile.__init__, DHPWriter.__init__
+
+        def counting_log(*args, **kwargs):
+            counts["logs"] += 1
+            log_init(*args, **kwargs)
+
+        def counting_writer(*args, **kwargs):
+            counts["writers"] += 1
+            writer_init(*args, **kwargs)
+
+        sim = Simulation(MachineSpec.small_test(nodes=2))
+        sim.install_univistor(UniviStorConfig.dram_bb())
+        comm = sim.comm("app", 8, procs_per_node=4)
+        # Ranks 0-3 overflow their 512 MiB DRAM log into the BB.
+        with mock.patch.object(LogFile, "__init__", counting_log), \
+                mock.patch.object(DHPWriter, "__init__", counting_writer):
+            self._collective(sim, comm, "/f", [
+                IORequest(r, r * GiB, (768 if r < 4 else 64) * MiB,
+                          PatternPayload(r)) for r in range(comm.size)])
+        writers = sim.univistor.session("/f").writers
+        assert counts["writers"] == len(writers) == 8
+        assert counts["logs"] == sum(
+            len(w.created_logs) for w in writers.values()) == 12
+        for rank, writer in writers.items():
+            assert writer.node is comm.node_of_rank(rank)
+            for log in writer.created_logs:
+                assert not [name for name in LogFile.__slots__
+                            if isinstance(getattr(log, name), list)]
+
+    def test_overwrite_under_a_fractional_layer_base(self):
+        """Three ranks per node give a DRAM log of 128 KiB / 3 bytes, so
+        the BB layer's VA base is fractional; a rewrite of a BB span
+        that starts on a chunk boundary frees that chunk's bytes, not a
+        sliver of the chunk below."""
+        spec = MachineSpec.small_test(nodes=2)
+        spec = replace(spec, node=replace(spec.node,
+                                          dram_cache_capacity=128 * KiB))
+        sim = Simulation(spec)
+        sim.install_univistor(UniviStorConfig.dram_bb(
+            metadata_range_size=int(64 * KiB), chunk_size=16 * KiB))
+        comm = sim.comm("app", 6, procs_per_node=3)
+        unit = int(8 * KiB)
+        for version, (offset, length) in enumerate(
+                ((0, 1), (0, 10), (0, 9), (1, 2))):
+            self._collective(sim, comm, "/f", [IORequest(
+                0, offset * unit, length * unit,
+                PatternPayload(100 * version))])
+        session = sim.univistor.session("/f")
+        writer = session.writers[0]
+        assert writer.vas.layer_base(1) % 1 != 0
+        bb = writer.log(1)
+        assert [bb.chunk(i).live for i in range(bb.allocated_chunks)] == [
+            16 * KiB] * 5
+        assert bb.free_stack == []
+        # Every live record lies inside the chunk bytes it resolves to.
+        live = [0] * bb.allocated_chunks
+        for record in sim.univistor.metadata.records_of(session.fid):
+            layer, addr = writer.vas.resolve(record.va)
+            assert layer == 1 and addr == int(addr)
+            live[int(addr) // int(16 * KiB)] += record.length
+        assert live == [16 * KiB] * 5

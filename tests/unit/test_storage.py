@@ -1,8 +1,12 @@
 """Unit tests for storage devices, Lustre, burst buffer and the namespace."""
 
 
+import posixpath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.spec import BurstBufferSpec, LustreSpec
 from repro.sim import Engine
@@ -312,3 +316,14 @@ class TestFileStore:
         store = FileStore()
         store.create("/a//b/../c")
         assert store.exists("/a/c")
+
+    @given(parts=st.lists(st.sampled_from(
+        ["a", "b.log", ".", "..", "", ".x", "x.", "..y", "/"]), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_paths_normalise_like_normpath(self, parts):
+        """Already-normal paths skip ``normpath``; every path still
+        comes out as ``normpath`` writes it."""
+        path = "/" + "/".join(parts)
+        assert FileStore._norm(path) == posixpath.normpath(path)
+        with pytest.raises(ValueError):
+            FileStore._norm(path.lstrip("/"))

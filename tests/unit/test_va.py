@@ -58,6 +58,20 @@ class TestVirtualAddressSpace:
         assert vas.va(2, 1e15) == 20 + 1e15
         assert vas.resolve(20 + 1e15) == (2, 1e15)
 
+    def test_fractional_base_resolves_to_whole_bytes(self):
+        """A VA summed from a fractional layer base (a c/p capacity) and
+        a byte offset resolves to the whole byte, not a rounding error
+        below it — also far into a large log, where the float spacing
+        of the VA exceeds 1e-6."""
+        for dram, addr in ((131072 / 3, 49152),
+                           (1760479319 / 3, 549655117900)):
+            vas = VirtualAddressSpace(TIERS3, [dram, 2.0 ** 41, math.inf])
+            va = vas.va(1, addr) + 8192
+            assert va - vas.layer_base(1) != addr + 8192
+            assert vas.resolve(va) == (1, addr + 8192)
+            # An address the base cannot explain stays fractional.
+            assert vas.resolve(vas.layer_base(1) + 0.5) == (1, 0.5)
+
     def test_unbounded_middle_layer_rejected(self):
         with pytest.raises(ValueError):
             VirtualAddressSpace(TIERS3, [10, math.inf, 10])
