@@ -14,7 +14,7 @@ from repro.core import client as client_module
 from repro.core import location_cache as location_cache_module
 from repro.core import metadata as metadata_module
 from repro.core.config import StorageTier, UniviStorConfig
-from repro.core.dhp import DHPWriter, LogFile
+from repro.core.dhp import DHPWriter, LogFile, PlacedSegment
 from repro.core.flush import FlushService
 from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
@@ -340,6 +340,42 @@ class TestMetadataFastPath:
             names = getattr(type(log), "__slots__", None) or vars(log)
             assert not [name for name in names
                         if isinstance(getattr(log, name), list)]
+
+    def test_value_types_write_slots(self, monkeypatch):
+        """The hot frozen value types store their fields through slot
+        descriptors, not ``object.__setattr__``, and a 1024-rank DRAM
+        micro write builds one validated record, placed segment and log
+        extent per rank (everything derived from them skips
+        validation)."""
+        for cls in (MetadataRecord, PlacedSegment, Extent, PatternPayload,
+                    IORequest):
+            assert "__setattr__" not in cls.__init__.__code__.co_names, cls
+        counts = {MetadataRecord: 0, PlacedSegment: 0, Extent: 0}
+
+        def counting(cls, init):
+            def counting_init(obj, *args, **kwargs):
+                counts[cls] += 1
+                init(obj, *args, **kwargs)
+            return counting_init
+
+        for cls in counts:
+            monkeypatch.setattr(cls, "__init__",
+                                counting(cls, cls.__init__))
+        procs = 1024
+        sim, fstype = build_simulation(procs, "UniviStor/DRAM")
+        comm = sim.comm("iobench", size=procs)
+        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
+                           bytes_per_proc=1 * MiB)
+        sim.run_to_completion(bench.write_phase())
+
+        session = sim.univistor.session("/pfs/m.h5")
+        logs = [log for writer in session.writers.values()
+                for log in writer.created_logs]
+        assert len(logs) == procs
+        assert sum(len(log.sim_file.data) for log in logs) == procs
+        assert counts[MetadataRecord] == procs
+        assert counts[PlacedSegment] == procs
+        assert counts[Extent] == procs
 
 
 class TestHotRangeThroughput:

@@ -30,6 +30,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from repro.cluster.node import ComputeNode
 from repro.core.config import StorageTier
 from repro.core.va import VirtualAddressSpace
+from repro.slotinit import slot_init
 from repro.storage.datamodel import Payload
 from repro.storage.device import CapacityError, StorageDevice
 from repro.storage.posix import FileStore, SimFile
@@ -51,6 +52,7 @@ class Chunk:
     live: float
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PlacedSegment:
     """Where one contiguous run of logical file bytes physically landed."""

@@ -72,6 +72,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from repro.core.config import StorageTier
 from repro.core.errors import DataLossError, QuorumLostError
+from repro.slotinit import slot_init
 
 __all__ = ["MetadataRecord", "MetadataService", "MetadataUnavailableError",
            "QuorumLostError", "coalesce_records", "split_record",
@@ -301,6 +302,7 @@ def _splice_insert(starts: List[int], recs: List["MetadataRecord"],
             j += 1
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MetadataRecord:
     """Fig. 3's record: FID + offset -> source process + VA (+ locality)."""
@@ -336,28 +338,12 @@ class MetadataRecord:
 
 
 # The module-private constructor of records derived from a valid record
-# (a slice, a cut piece, a merge): ``object.__new__`` plus the slot
-# descriptors' ``__set__``, about half the cost of ``__init__`` and
+# (a slice, a cut piece, a merge): :func:`~repro.slotinit.slot_init`'s
+# positional constructor, which stores the fields and skips
 # ``__post_init__``.  Only for fields that already passed validation (a
 # non-negative offset and a positive length); the public constructor
 # still validates.
-(_set_fid, _set_offset, _set_length, _set_proc_id, _set_va, _set_tier,
- _set_node_id) = (MetadataRecord.__dict__[name].__set__
-                  for name in ("fid", "offset", "length", "proc_id", "va",
-                               "tier", "node_id"))
-
-
-def _derived(fid: int, offset: int, length: int, proc_id: int, va: float,
-             tier: StorageTier, node_id: Optional[int]) -> MetadataRecord:
-    rec = object.__new__(MetadataRecord)
-    _set_fid(rec, fid)
-    _set_offset(rec, offset)
-    _set_length(rec, length)
-    _set_proc_id(rec, proc_id)
-    _set_va(rec, va)
-    _set_tier(rec, tier)
-    _set_node_id(rec, node_id)
-    return rec
+_derived = MetadataRecord._derived
 
 
 def _cut(record: MetadataRecord, start: int, end: int) -> MetadataRecord:

@@ -14,17 +14,20 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.simmpi.adio import ADIODriver, DriverRegistry, OpenContext
 from repro.simmpi.comm import Communicator
+from repro.slotinit import slot_init
 from repro.storage.datamodel import Payload
 
 __all__ = ["IORequest", "File"]
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class IORequest:
     """One rank's slice of a collective I/O operation.
 
     For writes, ``payload``/``payload_offset`` describe the data; for reads
-    they are unused (``payload=None``).
+    they are unused (``payload=None``).  Rank, offset, length and payload
+    offset must be non-negative.
     """
 
     rank: int
@@ -40,6 +43,9 @@ class IORequest:
             raise ValueError(f"negative offset {self.offset}")
         if self.length < 0:
             raise ValueError(f"negative length {self.length}")
+        if self.payload_offset < 0:
+            raise ValueError(
+                f"negative payload offset {self.payload_offset}")
 
     @property
     def end(self) -> int:

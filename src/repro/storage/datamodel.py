@@ -23,6 +23,8 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from repro.slotinit import slot_init
+
 __all__ = [
     "Payload",
     "BytesPayload",
@@ -106,6 +108,7 @@ def _check_stream_id(kind: str, name: str, value) -> None:
             f"{kind} {name} must be a non-negative int, got {value!r}")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PatternPayload(Payload):
     """A deterministic infinite byte stream identified by ``seed``.
@@ -200,6 +203,7 @@ class ZeroPayload(Payload):
         return "zeros"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Extent:
     """``length`` bytes at file ``offset`` drawn from ``payload`` at
@@ -259,23 +263,11 @@ class Extent:
 
 # The module-private constructor of extents derived from a valid extent
 # (a slice, a rebase, a merge, a hole between valid extents):
-# ``object.__new__`` plus the slot descriptors' ``__set__``, about half
-# the cost of ``__init__`` and ``__post_init__``.  Only for fields that
+# :func:`~repro.slotinit.slot_init`'s positional constructor, which
+# stores the fields and skips ``__post_init__``.  Only for fields that
 # are valid by construction (a non-negative offset and payload offset, a
 # positive length); the public constructor still validates.
-_set_offset, _set_length, _set_payload, _set_payload_offset = (
-    Extent.__dict__[name].__set__
-    for name in ("offset", "length", "payload", "payload_offset"))
-
-
-def _derived(offset: int, length: int, payload: Payload,
-             payload_offset: int) -> Extent:
-    ext = object.__new__(Extent)
-    _set_offset(ext, offset)
-    _set_length(ext, length)
-    _set_payload(ext, payload)
-    _set_payload_offset(ext, payload_offset)
-    return ext
+_derived = Extent._derived
 
 
 class ExtentMap:

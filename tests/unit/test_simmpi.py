@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.spec import MachineSpec
 from repro.cluster.topology import Machine
+from repro.core.config import UniviStorConfig
 from repro.sim import Engine
 from repro.simmpi import (
     BYTE,
@@ -17,7 +18,8 @@ from repro.simmpi import (
     OpenContext,
 )
 from repro.simmpi.adio import ADIODriver
-from repro.storage.datamodel import BytesPayload
+from repro.simulation import Simulation
+from repro.storage.datamodel import BytesPayload, PatternPayload
 
 
 @pytest.fixture
@@ -118,6 +120,47 @@ class TestIORequest:
             IORequest(0, -5, 10)
         with pytest.raises(ValueError):
             IORequest(0, 0, -1)
+        with pytest.raises(ValueError, match="negative payload offset -5"):
+            IORequest(0, 0, 100, BytesPayload(b"x" * 100), -5)
+
+    def test_negative_payload_offset_cannot_tear_a_collective(self):
+        """A write request with a negative payload offset is refused when
+        it is built, before a collective could free the bytes it
+        overwrites: the earlier write stays live in its log, in the
+        metadata and on read-back."""
+        sim = Simulation(MachineSpec.small_test(nodes=2))
+        sim.install_univistor(UniviStorConfig.dram_only())
+        comm = sim.comm("app", 4, procs_per_node=2)
+        data = {}
+
+        def app():
+            fh = yield from sim.open(comm, "/out/a", "w",
+                                     fstype="univistor")
+            yield from fh.write_at_all([
+                IORequest(r, r * 100, 100, PatternPayload(r))
+                for r in range(4)])
+            with pytest.raises(ValueError,
+                               match="negative payload offset -5"):
+                yield from fh.write_at_all([
+                    IORequest(1, 100, 50, PatternPayload(7)),
+                    IORequest(0, 0, 100, PatternPayload(9), -5)])
+            yield from fh.close()
+            fh = yield from sim.open(comm, "/out/a", "r",
+                                     fstype="univistor")
+            data.update((yield from fh.read_at_all([
+                IORequest(r, r * 100, 100) for r in range(4)])))
+            yield from fh.close()
+
+        sim.run_to_completion(app())
+        session = sim.univistor.session("/out/a", create=False)
+        assert [log.bytes_live
+                for log in session.writers[0].created_logs] == [100]
+        records = sim.univistor.metadata.records_of(session.fid)
+        assert [(rec.proc_id, rec.offset, rec.length)
+                for rec in records] == [(r, r * 100, 100) for r in range(4)]
+        for r in range(4):
+            assert b"".join(e.materialize() for e in data[r]) == \
+                PatternPayload(r).materialize(0, 100)
 
     def test_end(self):
         assert IORequest(0, 100, 50).end == 150
