@@ -7,6 +7,8 @@ the event kernel, fair-share rescheduling, extent-map writes and the
 full-stack micro-benchmark at two scales.
 """
 
+import gc
+
 import numpy as np
 
 from repro.cluster.spec import MachineSpec
@@ -19,6 +21,7 @@ from repro.core.flush import FlushService
 from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
                                  coalesce_records, pieces_by_range)
+from repro.core.server import FileSession
 from repro.experiments.common import build_simulation
 from repro.sim import BandwidthResource, Engine
 from repro.simmpi.mpiio import IORequest
@@ -376,6 +379,59 @@ class TestMetadataFastPath:
         assert counts[MetadataRecord] == procs
         assert counts[PlacedSegment] == procs
         assert counts[Extent] == procs
+
+    def test_bulk_build_paused_with_one_step_first_appends(self,
+                                                           monkeypatch):
+        """A 4096-rank DRAM micro write builds its rank state in bulk:
+        no collection of any generation runs from the collective's first
+        writer lookup to the return of its metadata ship, every rank's
+        first write fits and lands in one step without
+        ``LogFile.append``, and the collector is on afterwards."""
+        window = {"open": False}
+        collections = []
+        appends = []
+        writer_for = FileSession.writer_for
+        ship = client_module.UniviStorDriver._ship_pending
+        append = LogFile.append
+
+        def opening_writer_for(*args, **kwargs):
+            window["open"] = True
+            return writer_for(*args, **kwargs)
+
+        def closing_ship(*args, **kwargs):
+            ship(*args, **kwargs)
+            window["open"] = False
+
+        def counting_append(*args, **kwargs):
+            appends.append(1)
+            return append(*args, **kwargs)
+
+        def on_gc(phase, info):
+            if phase == "start" and window["open"]:
+                collections.append(info["generation"])
+
+        monkeypatch.setattr(FileSession, "writer_for", opening_writer_for)
+        monkeypatch.setattr(client_module.UniviStorDriver, "_ship_pending",
+                            closing_ship)
+        monkeypatch.setattr(LogFile, "append", counting_append)
+        procs = 4096
+        sim, fstype = build_simulation(procs, "UniviStor/DRAM")
+        comm = sim.comm("iobench", size=procs)
+        bench = MicroBench(sim, comm, "/pfs/m.h5", fstype,
+                           bytes_per_proc=1 * MiB)
+        assert gc.isenabled()
+        gc.callbacks.append(on_gc)
+        try:
+            sim.run_to_completion(bench.write_phase())
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert not window["open"]
+        assert collections == []
+        assert appends == []
+        writers = sim.univistor.session("/pfs/m.h5").writers
+        assert len(writers) == procs
+        assert all(len(w.created_logs) == 1 for w in writers.values())
+        assert gc.isenabled()
 
 
 class TestHotRangeThroughput:

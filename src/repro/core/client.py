@@ -32,6 +32,7 @@ from repro.core.metadata import (MetadataRecord, MetadataUnavailableError,
                                  pieces_by_range)
 from repro.core.server import FileSession, UniviStorServers
 from repro.core.versioning import stamp_with_epochs
+from repro.gcpause import collector_paused
 from repro.storage.device import TransientIOError
 from repro.simmpi.adio import ADIODriver, OpenContext
 from repro.simmpi.mpiio import IORequest
@@ -145,124 +146,129 @@ class UniviStorDriver(ADIODriver):
         # One layer-plan lookup per node for the writers this collective
         # creates.
         node_plans: Dict[int, LayerPlan] = {}
-        try:
-            for req in requests:
-                if req.length == 0:
-                    continue
-                # Probe-first admission: acceptance is atomic per
-                # request.  The probe runs before freeing overwritten
-                # chunks or placing bytes, so a refused request is fully
-                # un-applied (the superseded records and the chunks they
-                # point at stay live and readable), while earlier
-                # requests' records ship and stay durable.  Without
-                # quorum the overwrite lookup below would refuse the same
-                # span; probing first is what keeps those earlier records
-                # from being dropped.
-                try:
-                    touched = metadata.write_target_servers(
-                        session.fid, req.offset, req.length)
-                except (MetadataUnavailableError, QuorumLostError):
-                    self._ship_pending(session, pending)
-                    raise
-                writer = session.writer_for(comm, req.rank, node_plans)
-                if pending_spans:
-                    # pending_spans is kept sorted and its spans are
-                    # pairwise disjoint (an overlap ships and resets the
-                    # list), so the only candidate overlap is the
-                    # rightmost span starting before req's end — an
-                    # O(log n) probe instead of a scan.
-                    req_end = req.offset + req.length
-                    i = bisect_left(pending_spans, (req_end,))
-                    if i > 0 and pending_spans[i - 1][1] > req.offset:
-                        # An intra-op overwrite: ship what's pending so
-                        # the free-overwritten pass (and the DHP
-                        # free-chunk accounting behind it) sees the
-                        # earlier records of this very op.
+        # The bulk build never yields: the cyclic collector stays off
+        # across it (docs/MODEL.md §9) and is back before any yield.
+        with collector_paused():
+            try:
+                for req in requests:
+                    if req.length == 0:
+                        continue
+                    # Probe-first admission: acceptance is atomic per
+                    # request.  The probe runs before freeing overwritten
+                    # chunks or placing bytes, so a refused request is fully
+                    # un-applied (the superseded records and the chunks they
+                    # point at stay live and readable), while earlier
+                    # requests' records ship and stay durable.  Without
+                    # quorum the overwrite lookup below would refuse the same
+                    # span; probing first is what keeps those earlier records
+                    # from being dropped.
+                    try:
+                        touched = metadata.write_target_servers(
+                            session.fid, req.offset, req.length)
+                    except (MetadataUnavailableError, QuorumLostError):
                         self._ship_pending(session, pending)
-                        pending = []
-                        pending_spans = []
-                self._free_overwritten(session, req)
-                segments = writer.write(req.offset, req.length, req.payload,
-                                        req.payload_offset)
-                # The node the writer lookup found (the one holding the
-                # rank's node-local logs).
-                node = writer.node
-                rank_local_tiers = set()
-                rank_bb = False
-                rank_pfs = False
-                records = []
-                for seg in segments:
-                    records.append(MetadataRecord(
-                        session.fid, seg.logical_offset, seg.length,
-                        req.rank, seg.va, seg.tier,
-                        node.node_id if seg.tier.is_node_local else None))
-                    if seg.tier.is_node_local:
-                        key = (node.node_id, seg.tier)
-                        local_bytes_by_node[key] = (
-                            local_bytes_by_node.get(key, 0.0) + seg.length)
-                        rank_local_tiers.add(key)
-                        session.cached_bytes_written += seg.length
-                        session.volatile_bytes_written += seg.length
-                    elif seg.tier is StorageTier.SHARED_BB:
-                        bb_bytes += seg.length
-                        rank_bb = True
-                        session.cached_bytes_written += seg.length
-                    else:
-                        pfs_bytes += seg.length
-                        rank_pfs = True
-                # Authority stamping (docs/MODEL.md §12): one write
-                # version per collective op, split at range boundaries so
-                # each span carries the epoch current at write time.
-                # Refused requests never reach here (the probe raised
-                # above), so a rejected overwrite leaves the authority —
-                # like the superseded records — fully intact.
-                if op_version is None:
-                    session.write_version += 1
-                    op_version = session.write_version
-                if stretch and stretch[-1] != req.offset:
-                    self._stamp_stretch(session, stretch, op_version,
-                                        mirrored)
-                    stretch = []
-                    mirrored = []
-                if not stretch:
-                    stretch.append(req.offset)
-                stretch.append(req.offset + req.length)
-                if data_quorum >= 2:
-                    # Synchronous second copy: mirror this request's
-                    # node-local segments into the rank's replica log on
-                    # the shared BB *now*, so the ack below can attest
-                    # two failure domains.  Spilled BB/PFS segments
-                    # already live off-node and need no extra copy.
-                    rank_sync = 0.0
-                    for rec in records:
-                        if not rec.tier.is_node_local:
-                            continue
-                        replica = system.resilience.replica_file(
-                            session, rec.proc_id)
-                        replica.write_at(
-                            rec.offset, rec.length, req.payload,
-                            req.payload_offset + (rec.offset - req.offset))
-                        mirrored.append(rec)
-                        rank_sync += rec.length
-                    if rank_sync > 0:
-                        system.resilience.note_synchronous_copy(session,
-                                                                rank_sync)
-                        dq_bytes += rank_sync
-                        dq_ranks += 1
-                pending.extend(records)
-                insort(pending_spans, (req.offset, req.offset + req.length))
-                for s in touched:
-                    inserts_per_server[s] = inserts_per_server.get(s, 0) + 1
-                for key in rank_local_tiers:
-                    local_ranks_by_node[key] = (
-                        local_ranks_by_node.get(key, 0) + 1)
-                bb_ranks += rank_bb
-                pfs_ranks += rank_pfs
-                total += req.length
-        finally:
-            if stretch:
-                self._stamp_stretch(session, stretch, op_version, mirrored)
-        self._ship_pending(session, pending)
+                        raise
+                    writer = session.writer_for(comm, req.rank, node_plans)
+                    if pending_spans:
+                        # pending_spans is kept sorted and its spans are
+                        # pairwise disjoint (an overlap ships and resets the
+                        # list), so the only candidate overlap is the
+                        # rightmost span starting before req's end — an
+                        # O(log n) probe instead of a scan.
+                        req_end = req.offset + req.length
+                        i = bisect_left(pending_spans, (req_end,))
+                        if i > 0 and pending_spans[i - 1][1] > req.offset:
+                            # An intra-op overwrite: ship what's pending so
+                            # the free-overwritten pass (and the DHP
+                            # free-chunk accounting behind it) sees the
+                            # earlier records of this very op.
+                            self._ship_pending(session, pending)
+                            pending = []
+                            pending_spans = []
+                    self._free_overwritten(session, req)
+                    segments = writer.write(req.offset, req.length,
+                                            req.payload, req.payload_offset)
+                    # The node the writer lookup found (the one holding the
+                    # rank's node-local logs).
+                    node = writer.node
+                    rank_local_tiers = set()
+                    rank_bb = False
+                    rank_pfs = False
+                    records = []
+                    for seg in segments:
+                        records.append(MetadataRecord(
+                            session.fid, seg.logical_offset, seg.length,
+                            req.rank, seg.va, seg.tier,
+                            node.node_id if seg.tier.is_node_local else None))
+                        if seg.tier.is_node_local:
+                            key = (node.node_id, seg.tier)
+                            local_bytes_by_node[key] = (
+                                local_bytes_by_node.get(key, 0.0) + seg.length)
+                            rank_local_tiers.add(key)
+                            session.cached_bytes_written += seg.length
+                            session.volatile_bytes_written += seg.length
+                        elif seg.tier is StorageTier.SHARED_BB:
+                            bb_bytes += seg.length
+                            rank_bb = True
+                            session.cached_bytes_written += seg.length
+                        else:
+                            pfs_bytes += seg.length
+                            rank_pfs = True
+                    # Authority stamping (docs/MODEL.md §12): one write
+                    # version per collective op, split at range boundaries so
+                    # each span carries the epoch current at write time.
+                    # Refused requests never reach here (the probe raised
+                    # above), so a rejected overwrite leaves the authority —
+                    # like the superseded records — fully intact.
+                    if op_version is None:
+                        session.write_version += 1
+                        op_version = session.write_version
+                    if stretch and stretch[-1] != req.offset:
+                        self._stamp_stretch(session, stretch, op_version,
+                                            mirrored)
+                        stretch = []
+                        mirrored = []
+                    if not stretch:
+                        stretch.append(req.offset)
+                    stretch.append(req.offset + req.length)
+                    if data_quorum >= 2:
+                        # Synchronous second copy: mirror this request's
+                        # node-local segments into the rank's replica log on
+                        # the shared BB *now*, so the ack below can attest
+                        # two failure domains.  Spilled BB/PFS segments
+                        # already live off-node and need no extra copy.
+                        rank_sync = 0.0
+                        for rec in records:
+                            if not rec.tier.is_node_local:
+                                continue
+                            replica = system.resilience.replica_file(
+                                session, rec.proc_id)
+                            replica.write_at(
+                                rec.offset, rec.length, req.payload,
+                                req.payload_offset + (rec.offset - req.offset))
+                            mirrored.append(rec)
+                            rank_sync += rec.length
+                        if rank_sync > 0:
+                            system.resilience.note_synchronous_copy(session,
+                                                                    rank_sync)
+                            dq_bytes += rank_sync
+                            dq_ranks += 1
+                    pending.extend(records)
+                    insort(pending_spans,
+                           (req.offset, req.offset + req.length))
+                    for s in touched:
+                        inserts_per_server[s] = (
+                            inserts_per_server.get(s, 0) + 1)
+                    for key in rank_local_tiers:
+                        local_ranks_by_node[key] = (
+                            local_ranks_by_node.get(key, 0) + 1)
+                    bb_ranks += rank_bb
+                    pfs_ranks += rank_pfs
+                    total += req.length
+            finally:
+                if stretch:
+                    self._stamp_stretch(session, stretch, op_version, mirrored)
+            self._ship_pending(session, pending)
         session.bytes_written += total
         state.bytes_written += total
 

@@ -11,7 +11,9 @@ space, the store and device of every layer — is a shared, immutable
 :class:`LayerPlan` (every rank on a node with the same communicator gets
 the same one).  The mutable part, a layer's :class:`LogFile` and its
 file, is created on the rank's first append to that layer, so a rank
-that never spills owns one log, not one per layer.
+that never spills owns one log, not one per layer.  A first append that
+fits whole in fresh chunks builds the log already holding its bytes, in
+one step (:meth:`PendingLog.create_filled`).
 
 A log's space is a sequence of fixed-size **chunks**; data is appended
 inside a chunk log-structured.  A **free-chunk stack** records reusable
@@ -355,6 +357,40 @@ class PendingLog(NamedTuple):
                        self.device, self.tier_totals,
                        max_chunks=self.max_chunks)
 
+    def create_filled(self, rank: int, length: int, payload: Payload,
+                      payload_offset: int = 0) -> Optional[LogFile]:
+        """The one-step first append (docs/MODEL.md §2): ``rank``'s log
+        created holding ``length`` bytes in fresh chunks from address 0
+        — its file and single extent, one device charge, the tier
+        ledger — in the state :meth:`LogFile.append` leaves on a new
+        log.  None when the request does not fit whole in fresh chunks
+        (the log bound or the device's headroom) or the geometry is
+        unchecked: the caller then takes the generic path."""
+        chunk = self.chunk_size
+        max_chunks = self.max_chunks
+        n_chunks = math.ceil(length / chunk)
+        # (A float quotient can round down past a whole chunk count.)
+        if (max_chunks is None or n_chunks > max_chunks
+                or n_chunks * chunk < length):
+            return None
+        device = self.device
+        if device is not None:
+            if n_chunks > device.available // chunk:
+                return None
+            device.allocate(n_chunks * chunk)
+        log = self.create(rank)
+        log.sim_file.write_at(0, length, payload, payload_offset)
+        log.bytes_written = log.bytes_live = float(length)
+        if self.tier_totals is not None:
+            self.tier_totals[self.tier] += length
+        log._chunks = n_chunks
+        # The chunks fill in order; only a partial tail stays active.
+        full, rem = divmod(length, int(chunk))
+        if full < n_chunks:
+            log._active = full
+            log._fill = rem
+        return log
+
 
 def _check_layers(vas: VirtualAddressSpace,
                   logs: Sequence[Union[LogFile, PendingLog]]) -> None:
@@ -388,7 +424,9 @@ class DHPWriter:
 
     The ``logs`` argument holds one entry per VA layer: a created
     :class:`LogFile`, or a :class:`PendingLog` the writer turns into one
-    on its first append to that layer.  :attr:`created_logs` lists the
+    on its first append to that layer — in one step when the append
+    fits whole (:meth:`PendingLog.create_filled`), else by creating it
+    and appending.  :attr:`created_logs` lists the
     created ones; :meth:`log` looks one up by layer.  ``node`` is the
     compute node the rank runs on (the one its node-local logs live on);
     ``checked`` says ``logs`` already passed the layer check
@@ -435,6 +473,14 @@ class DHPWriter:
                 layer += 1
                 continue
             if type(log) is PendingLog:
+                filled = log.create_filled(self.rank, length - placed,
+                                           payload, payload_offset + placed)
+                if filled is not None:
+                    self._logs[layer] = filled
+                    segments.append(PlacedSegment(
+                        self.rank, logical_offset + placed, length - placed,
+                        layer, filled.tier, self.vas.va(layer, 0.0), 0.0))
+                    return segments
                 if device is not None and not device.can_allocate(
                         log.chunk_size):
                     # A fresh log could not take a single chunk: spill

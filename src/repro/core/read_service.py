@@ -30,6 +30,7 @@ from repro.core.metadata import (MetadataRecord, MetadataUnavailableError,
                                  QuorumLostError, record_run_end,
                                  record_runs)
 from repro.core.versioning import VersionMap
+from repro.gcpause import collector_paused
 from repro.simmpi.comm import Communicator
 from repro.simmpi.mpiio import IORequest
 from repro.storage.datamodel import (CorruptPayload, Extent, ExtentMap,
@@ -181,53 +182,56 @@ class ReadService:
         edge, rot) copies record by record through :meth:`resolve`:
         degraded reads, ``read-corrupt`` telemetry and losses stay
         exactly per record.  A lost record ends its stretch and keeps
-        its span's old stamp."""
-        authority = session.data_versions
-        lost = 0.0
-        # The open stretch: its target, first record and record edges.
-        dest = opener = None
-        cuts: List[int] = []
-        i, n = 0, len(records)
-        while i < n:
-            first = records[i]
-            j = record_run_end(records, i)
-            last = records[j - 1]
-            to = target(first)
-            if cuts and (to is not dest or cuts[-1] != first.offset):
-                versions(opener).copy_from_cuts(authority, cuts)
-                cuts = []
-            dest = to
-            extents = self._run_extents(session, first,
-                                        last.offset + last.length
-                                        - first.offset)
-            if extents is not None:
-                to.extend(extents)
-                if not cuts:
-                    opener = first
-                    cuts.append(first.offset)
-                cuts.extend([rec.offset + rec.length
-                             for rec in records[i:j]])
-            else:
-                for rec in records[i:j]:
-                    try:
-                        extents = self.resolve(session, rec)
-                    except DataLossError:
-                        lost += rec.length
-                        if cuts:
-                            versions(opener).copy_from_cuts(authority, cuts)
-                            cuts = []
-                        continue
+        its span's old stamp.  The cyclic collector is off across the
+        copy (docs/MODEL.md §9)."""
+        with collector_paused():
+            authority = session.data_versions
+            lost = 0.0
+            # The open stretch: its target, first record and record edges.
+            dest = opener = None
+            cuts: List[int] = []
+            i, n = 0, len(records)
+            while i < n:
+                first = records[i]
+                j = record_run_end(records, i)
+                last = records[j - 1]
+                to = target(first)
+                if cuts and (to is not dest or cuts[-1] != first.offset):
+                    versions(opener).copy_from_cuts(authority, cuts)
+                    cuts = []
+                dest = to
+                extents = self._run_extents(session, first,
+                                            last.offset + last.length
+                                            - first.offset)
+                if extents is not None:
                     to.extend(extents)
-                    # Records of a run are contiguous: a copied one
-                    # continues the stretch.
                     if not cuts:
-                        opener = rec
-                        cuts.append(rec.offset)
-                    cuts.append(rec.offset + rec.length)
-            i = j
-        if cuts:
-            versions(opener).copy_from_cuts(authority, cuts)
-        return lost
+                        opener = first
+                        cuts.append(first.offset)
+                    cuts.extend([rec.offset + rec.length
+                                 for rec in records[i:j]])
+                else:
+                    for rec in records[i:j]:
+                        try:
+                            extents = self.resolve(session, rec)
+                        except DataLossError:
+                            lost += rec.length
+                            if cuts:
+                                versions(opener).copy_from_cuts(authority,
+                                                                cuts)
+                                cuts = []
+                            continue
+                        to.extend(extents)
+                        # Records of a run are contiguous: a copied one
+                        # continues the stretch.
+                        if not cuts:
+                            opener = rec
+                            cuts.append(rec.offset)
+                        cuts.append(rec.offset + rec.length)
+                i = j
+            if cuts:
+                versions(opener).copy_from_cuts(authority, cuts)
+            return lost
 
     def resolve_degraded(self, session, record: MetadataRecord
                          ) -> List[Extent]:
@@ -308,7 +312,7 @@ class ReadService:
             "pfs-namespace-fallback",
             f"{session.path}:[{req.offset},+{req.length})",
             float(req.length))
-        return sorted(extents, key=lambda e: e.offset)
+        return extents
 
     # -- the collective read ----------------------------------------------------
     def read_collective(self, session, comm: Communicator,
@@ -328,89 +332,94 @@ class ReadService:
         failed_nodes = self.system.failed_nodes
         lookups_per_server = breakdown.lookups_per_server
         resolve_run = self.resolve_run
-        for req in requests:
-            if req.length == 0:
-                results[req.rank] = []
-                continue
-            # Location-cache fast path: a tracked file resolves placement
-            # locally.  The same per-range metadata RPCs are charged
-            # (read_servers_for contacts the identical servers, fires the
-            # identical failover telemetry and raises the identical
-            # unavailability errors), so timing is unchanged — only the
-            # server-side store search is skipped.
-            try:
-                records = (cache.lookup(session.fid, req.offset, req.length)
-                           if cache is not None else None)
-                if records is not None:
-                    servers = metadata.read_servers_for(session.fid,
-                                                        req.offset,
-                                                        req.length)
-                    count("cache-hit")
-                else:
-                    if cache is not None:
-                        count("cache-miss")
-                    records, servers = metadata.lookup(session.fid,
-                                                       req.offset,
-                                                       req.length)
-            except (MetadataUnavailableError, QuorumLostError):
-                # PFS namespace fallback: the range's metadata is lost or
-                # quorum-unreachable, but if every cached byte has been
-                # flushed the PFS file is itself an authoritative
-                # offset-addressed namespace — serve the span from it.
-                extents = self._pfs_namespace_extents(session, req)
-                if extents is None:
-                    raise
-                breakdown.pfs_bytes += req.length
-                breakdown.pfs_ranks.add(req.rank)
-                results[req.rank] = extents
-                continue
-            for s in servers:
-                lookups_per_server[s] = lookups_per_server.get(s, 0) + 1
-            covered = sum(r.length for r in records)
-            if covered < req.length:
-                raise ValueError(
-                    f"{session.path}: read [{req.offset}, +{req.length}) "
-                    f"touches {req.length - covered} unwritten bytes")
-            extents: List[Extent] = []
-            reader_node = comm.node_of_rank(req.rank)
-            # One resolve and one accounting step per record run: a
-            # run's records share writer, tier and node, so they land in
-            # the same byte category.
-            for run in record_runs(records):
-                extents.extend(resolve_run(session, run))
-                record = run[0]
-                nbytes = run[-1].end - record.offset
-                if (record.node_id in failed_nodes
-                        and record.tier.is_node_local):
-                    # Fail-over: served from the BB replica.
-                    breakdown.bb_bytes += nbytes
-                    breakdown.bb_ranks.add(req.rank)
-                elif record.tier.is_node_local:
-                    if record.node_id == reader_node.node_id:
-                        key = (reader_node.node_id, record.tier)
-                        breakdown.local_bytes += nbytes
-                        if req.rank not in breakdown.local_ranks:
-                            breakdown.local_ranks.add(req.rank)
-                            breakdown.local_ranks_by_node[key] = (
-                                breakdown.local_ranks_by_node.get(key, 0)
-                                + 1)
-                        local_bytes_by_node[key] = (
-                            local_bytes_by_node.get(key, 0.0) + nbytes)
+        # The resolve loop never yields: the cyclic collector stays off
+        # across it (docs/MODEL.md §9).
+        with collector_paused():
+            for req in requests:
+                if req.length == 0:
+                    results[req.rank] = []
+                    continue
+                # Location-cache fast path: a tracked file resolves placement
+                # locally.  The same per-range metadata RPCs are charged
+                # (read_servers_for contacts the identical servers, fires the
+                # identical failover telemetry and raises the identical
+                # unavailability errors), so timing is unchanged — only the
+                # server-side store search is skipped.
+                try:
+                    records = (cache.lookup(session.fid, req.offset,
+                                            req.length)
+                               if cache is not None else None)
+                    if records is not None:
+                        servers = metadata.read_servers_for(session.fid,
+                                                            req.offset,
+                                                            req.length)
+                        count("cache-hit")
                     else:
-                        rkey = (record.node_id, record.tier)
-                        breakdown.remote_bytes += nbytes
-                        breakdown.remote_ranks.add(req.rank)
-                        remote_bytes_by_source[rkey] = (
-                            remote_bytes_by_source.get(rkey, 0.0)
-                            + nbytes)
-                elif record.tier is StorageTier.SHARED_BB:
-                    breakdown.bb_bytes += nbytes
-                    breakdown.bb_ranks.add(req.rank)
-                else:
-                    breakdown.pfs_bytes += nbytes
+                        if cache is not None:
+                            count("cache-miss")
+                        records, servers = metadata.lookup(session.fid,
+                                                           req.offset,
+                                                           req.length)
+                except (MetadataUnavailableError, QuorumLostError):
+                    # PFS namespace fallback: the range's metadata is lost or
+                    # quorum-unreachable, but if every cached byte has been
+                    # flushed the PFS file is itself an authoritative
+                    # offset-addressed namespace — serve the span from it.
+                    extents = self._pfs_namespace_extents(session, req)
+                    if extents is None:
+                        raise
+                    breakdown.pfs_bytes += req.length
                     breakdown.pfs_ranks.add(req.rank)
-            extents.sort(key=lambda e: e.offset)
-            results[req.rank] = extents
+                    results[req.rank] = extents
+                    continue
+                for s in servers:
+                    lookups_per_server[s] = lookups_per_server.get(s, 0) + 1
+                covered = sum(r.length for r in records)
+                if covered < req.length:
+                    raise ValueError(
+                        f"{session.path}: read [{req.offset}, +{req.length}) "
+                        f"touches {req.length - covered} unwritten bytes")
+                extents: List[Extent] = []
+                reader_node = comm.node_of_rank(req.rank)
+                # One resolve and one accounting step per record run: a
+                # run's records share writer, tier and node, so they land in
+                # the same byte category.
+                for run in record_runs(records):
+                    extents.extend(resolve_run(session, run))
+                    record = run[0]
+                    nbytes = run[-1].end - record.offset
+                    if (record.node_id in failed_nodes
+                            and record.tier.is_node_local):
+                        # Fail-over: served from the BB replica.
+                        breakdown.bb_bytes += nbytes
+                        breakdown.bb_ranks.add(req.rank)
+                    elif record.tier.is_node_local:
+                        if record.node_id == reader_node.node_id:
+                            key = (reader_node.node_id, record.tier)
+                            breakdown.local_bytes += nbytes
+                            if req.rank not in breakdown.local_ranks:
+                                breakdown.local_ranks.add(req.rank)
+                                breakdown.local_ranks_by_node[key] = (
+                                    breakdown.local_ranks_by_node.get(key, 0)
+                                    + 1)
+                            local_bytes_by_node[key] = (
+                                local_bytes_by_node.get(key, 0.0) + nbytes)
+                        else:
+                            rkey = (record.node_id, record.tier)
+                            breakdown.remote_bytes += nbytes
+                            breakdown.remote_ranks.add(req.rank)
+                            remote_bytes_by_source[rkey] = (
+                                remote_bytes_by_source.get(rkey, 0.0)
+                                + nbytes)
+                    elif record.tier is StorageTier.SHARED_BB:
+                        breakdown.bb_bytes += nbytes
+                        breakdown.bb_ranks.add(req.rank)
+                    else:
+                        breakdown.pfs_bytes += nbytes
+                        breakdown.pfs_ranks.add(req.rank)
+                # Offset-sorted already: the records are, and each run
+                # resolves its window in offset order.
+                results[req.rank] = extents
 
         yield from self._execute_flows(session, comm, breakdown,
                                        local_bytes_by_node,

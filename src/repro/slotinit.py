@@ -18,9 +18,13 @@ instead:
   are valid by construction.
 
 Instances stay frozen: the descriptors are the slots' own, and
-``__setattr__`` / ``__delattr__`` still raise ``FrozenInstanceError``.
-Equality, hashing, ``repr``, pickling, ``copy`` and
-``dataclasses.replace`` are the dataclass's own.
+``__setattr__`` / ``__delattr__`` raise ``FrozenInstanceError`` for any
+name.  (The ones ``dataclass`` generates raise a ``TypeError`` for a
+name that is not a field: they refer to the class ``slots=True``
+replaced.  The other slotted payloads, ``BytesPayload`` and
+``CorruptPayload``, take the decorator for this alone.)  Equality,
+hashing, ``repr``, pickling, ``copy`` and ``dataclasses.replace`` are
+the dataclass's own.
 """
 
 from __future__ import annotations
@@ -84,4 +88,14 @@ def slot_init(cls: Type[T]) -> Type[T]:
     derived.__qualname__ = f"{cls.__qualname__}._derived"
     cls.__init__ = init
     cls._derived = staticmethod(derived)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls
+
+
+def _frozen_setattr(self, name: str, value: Any) -> None:
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")

@@ -56,6 +56,7 @@ class Payload:
         raise NotImplementedError
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BytesPayload(Payload):
     """Literal byte content (small data: metadata regions, test payloads)."""
@@ -144,6 +145,7 @@ class PatternPayload(Payload):
         return f"pattern[{self.seed}]"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CorruptPayload(Payload):
     """Bit-rotted content: bytes whose stored checksum no longer matches.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import StorageTier
 from repro.core.dhp import (Chunk, DHPWriter, LayerPlan, LogFile,
-                            PendingLog, PlacedSegment)
+                            LogFullError, PendingLog, PlacedSegment)
 from repro.core.va import VirtualAddressSpace
 from repro.sim import Engine
 from repro.storage.datamodel import PatternPayload
@@ -473,33 +473,40 @@ class TestLogFileAgainstChunkModel:
                                    bandwidth=1.0)
         log = make_log(capacity=capacity, chunk=chunk, device=device)
         model = _ChunkModel(capacity, chunk, device_capacity)
-        live = []   # (addr, length) pieces appended and not yet freed
-        for op in ops:
-            if op[0] == "append":
-                runs = log.append(op[1], PatternPayload(1))
-                assert runs == model.append(op[1])
-                live.extend((int(a), n) for a, n in runs)
-            elif live:
-                _, pick, at, want = op
-                addr, length = live.pop(pick % len(live))
-                skip = at % length
-                n = min(want, length - skip)
-                log.free_segment(addr + skip, n)
-                model.free_segment(addr + skip, n)
-                live.extend(piece for piece in ((addr, skip),
-                                                (addr + skip + n,
-                                                 length - skip - n))
-                            if piece[1] > 0)
-            assert log.allocated_chunks == len(model.used)
-            assert [log.chunk(i) for i in range(log.allocated_chunks)] == [
-                Chunk(i, u, v)
-                for i, (u, v) in enumerate(zip(model.used, model.live))]
-            assert log.free_stack == model.free
-            assert log.remaining_in_log() == model.remaining_in_log()
-            assert log.bytes_live == sum(model.live)
-            assert log.bytes_live == sum(n for _a, n in live)
-            if device is not None:
-                assert device.used == len(model.used) * chunk
+        run_against_model(log, model, ops, [], device)
+
+
+def run_against_model(log, model, ops, live, device):
+    """Apply ``ops`` to ``log`` and ``model`` and check, after each, that
+    they hold the same runs, chunks, free stack and byte counts.
+    ``live`` lists the ``(addr, length)`` pieces already appended and not
+    yet freed."""
+    for op in ops:
+        if op[0] == "append":
+            runs = log.append(op[1], PatternPayload(1))
+            assert runs == model.append(op[1])
+            live.extend((int(a), n) for a, n in runs)
+        elif live:
+            _, pick, at, want = op
+            addr, length = live.pop(pick % len(live))
+            skip = at % length
+            n = min(want, length - skip)
+            log.free_segment(addr + skip, n)
+            model.free_segment(addr + skip, n)
+            live.extend(piece for piece in ((addr, skip),
+                                            (addr + skip + n,
+                                             length - skip - n))
+                        if piece[1] > 0)
+        assert log.allocated_chunks == len(model.used)
+        assert [log.chunk(i) for i in range(log.allocated_chunks)] == [
+            Chunk(i, u, v)
+            for i, (u, v) in enumerate(zip(model.used, model.live))]
+        assert log.free_stack == model.free
+        assert log.remaining_in_log() == model.remaining_in_log()
+        assert log.bytes_live == sum(model.live)
+        assert log.bytes_live == sum(n for _a, n in live)
+        if device is not None:
+            assert device.used == len(model.used) * model.chunk
 
 
 def per_chunk_state(log):
@@ -622,3 +629,112 @@ class TestPlanChecks:
         for offset in range(0, 60, 12):
             assert (checked.write(offset, 12, PatternPayload(offset))
                     == unchecked.write(offset, 12, PatternPayload(offset)))
+
+
+def log_state(log):
+    """Every field of a log but its file, device and ledger, with types
+    (``repr`` tells 5 from 5.0), plus the file's path and extents."""
+    return repr([getattr(log, name) for name in type(log).__slots__
+                 if name not in ("sim_file", "device", "tier_totals")]
+                + [log.sim_file.path, list(log.sim_file.data)])
+
+
+class TestOneStepFirstAppend:
+    """A rank's first write to a pending log whose healthy device can
+    take it whole in fresh chunks creates the log in one step
+    (:meth:`PendingLog.create_filled`): the file, its single extent, one
+    device charge and the tier ledger, leaving exactly what creating
+    the log and calling :meth:`LogFile.append` leaves.  Partial fits,
+    unchecked geometry, failed or degraded tiers and dry devices take
+    the generic path."""
+
+    @staticmethod
+    def _build(chunk, capacity, device_chunks, health, checked):
+        device = None
+        if device_chunks is not None:
+            device = StorageDevice(Engine(), "d",
+                                   capacity=device_chunks * chunk + chunk // 2,
+                                   bandwidth=1.0)
+            if health == "failed":
+                device.fail()
+            elif health == "degraded":
+                device.degrade(0.5)
+        store = FileStore()
+        totals = {StorageTier.DRAM: 0.0, StorageTier.PFS: 0.0}
+        dram = (StorageTier.DRAM, capacity, chunk, store, device,
+                "/{rank}/dram", totals)
+        layers = [PendingLog.make(*dram) if checked else PendingLog(*dram)]
+        if capacity != math.inf:
+            # A PFS layer to spill to.
+            layers.append(PendingLog.make(StorageTier.PFS, math.inf, chunk,
+                                          store, None, "/{rank}/pfs",
+                                          totals))
+        vas = VirtualAddressSpace([p.tier for p in layers],
+                                  [p.capacity for p in layers])
+        return DHPWriter(0, vas, layers), device, totals, store
+
+    @given(length=st.integers(1, 200), chunk=st.integers(1, 12),
+           capacity=st.one_of(st.integers(1, 150), st.just(math.inf)),
+           device_chunks=st.one_of(st.none(), st.integers(0, 20)),
+           health=st.sampled_from(["ok", "failed", "degraded"]),
+           checked=st.booleans(), ops=_log_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_one_step_leaves_what_the_generic_path_leaves(
+            self, length, chunk, capacity, device_chunks, health, checked,
+            ops):
+        def first_write(one_step):
+            writer, device, totals, store = self._build(
+                chunk, capacity, device_chunks, health, checked)
+            filled, appended = [], []
+            create_filled, append = PendingLog.create_filled, LogFile.append
+
+            def noting_create_filled(pending, *args):
+                log = create_filled(pending, *args) if one_step else None
+                filled.append((pending.tier, log is not None))
+                return log
+
+            def noting_append(log, *args):
+                appended.append(log.tier)
+                return append(log, *args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(PendingLog, "create_filled", noting_create_filled)
+                mp.setattr(LogFile, "append", noting_append)
+                try:
+                    outcome = writer.write(0, length, PatternPayload(3))
+                except LogFullError as err:
+                    outcome = str(err)
+            state = (outcome,
+                     [log_state(log) for log in writer.created_logs],
+                     None if device is None else device.used,
+                     totals, store.listdir("/"))
+            return state, writer, device, filled, appended
+
+        one, writer, device, filled, appended = first_write(True)
+        generic, *_ = first_write(False)
+        assert one == generic
+        # The one step served the DRAM layer exactly when it fits whole.
+        max_chunks = (math.inf if capacity == math.inf
+                      else max(1, capacity // chunk))
+        n_chunks = math.ceil(length / chunk)
+        healthy = device is None or health == "ok"
+        fits = (checked and healthy and n_chunks <= max_chunks
+                and (device_chunks is None or n_chunks <= device_chunks))
+        assert ((StorageTier.DRAM, True) in filled) == fits
+        if fits:
+            assert StorageTier.DRAM not in appended
+        if not healthy:
+            assert StorageTier.DRAM not in [tier for tier, _ in filled]
+        # What the one step left then behaves like the per-chunk model.
+        dram = [log for log in writer.created_logs
+                if log.tier is StorageTier.DRAM]
+        if healthy and dram:
+            model = _ChunkModel(capacity, chunk,
+                                math.inf if device is None
+                                else device.capacity)
+            runs = model.append(length)
+            if isinstance(one[0], list):  # not refused for want of space
+                assert [(s.physical_address, s.length) for s in one[0]
+                        if s.tier is StorageTier.DRAM] == runs
+            assert one[3][StorageTier.DRAM] == sum(n for _a, n in runs)
+            run_against_model(dram[0], model, ops, list(runs), device)

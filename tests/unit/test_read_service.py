@@ -334,3 +334,71 @@ class TestResolveRun:
             assert (outcome(lambda run=run: run_service.resolve_run(
                 run_session, run)) == outcome(per_record))
         assert telemetry(run_sim) == telemetry(rec_sim)
+
+
+def order_setup(flush):
+    """3 nodes x 2 ranks on the hardened deployment (replicas on the
+    shared BB), each rank's 64 KiB block written in two collectives:
+    two records per block, metadata ranges of half a block."""
+    block = int(64 * KiB)
+    sim = Simulation(MachineSpec.small_test(nodes=3))
+    system = sim.install_univistor(UniviStorConfig.hardened(
+        flush_enabled=flush, self_healing=False,
+        metadata_range_size=float(block // 2)))
+    comm = sim.comm("app", 6, procs_per_node=2)
+
+    def app():
+        fh = yield from sim.open(comm, "/f", "w", fstype="univistor")
+        for half in (0, 1):
+            lo = half * block // 2
+            yield from fh.write_at_all([
+                IORequest(r, r * block + lo, block // 2, PatternPayload(r),
+                          lo)
+                for r in range(6)])
+        yield from fh.close()
+        yield from fh.sync()
+
+    sim.run_to_completion(app())
+    return sim, system, comm, block
+
+
+class TestResolvedExtentsOrder:
+    """A collective read's extents come back offset-sorted and tiling
+    each request with no re-sort: the records arrive offset-sorted and
+    disjoint, and every resolution path — a clean record run, the
+    replica of a failed node or of a rotted piece, the flushed PFS
+    file — returns its record's window in offset order."""
+
+    @pytest.mark.parametrize("kind", ["healthy", "degraded", "rot", "pfs"])
+    def test_extents_tile_each_request_in_offset_order(self, kind):
+        sim, system, comm, block = order_setup(flush=kind == "pfs")
+        session = system.session("/f")
+        if kind == "degraded":
+            system.fail_node(comm.node_of_rank(2).node_id)
+        elif kind == "rot":
+            log = session.writers[3].log(0).sim_file
+            log.corrupt_at(block // 4, block // 2, 7)
+        elif kind == "pfs":
+            for server in range(system.total_servers):
+                system.crash_server(server)
+        # Every rank reads a window over two ranks' blocks (four
+        # records); the last one reads the whole file.
+        requests = [IORequest(r, r * block + block // 4, block)
+                    for r in range(5)] + [IORequest(5, 0, 6 * block)]
+        results, breakdown = read_with_breakdown(sim, comm, "/f", requests)
+        for req in requests:
+            extents = results[req.rank]
+            assert [e.offset for e in extents] == sorted(
+                e.offset for e in extents)
+            edges = [req.offset] + [e.end for e in extents]
+            assert [e.offset for e in extents] == edges[:-1]
+            assert edges[-1] == req.end
+        ops = [r.op for r in sim.telemetry.records]
+        if kind == "degraded":
+            assert breakdown.bb_bytes > 0
+        elif kind == "rot":
+            assert "read-corrupt" in ops
+        elif kind == "pfs":
+            assert ops.count("pfs-namespace-fallback") == len(requests)
+        else:
+            assert breakdown.local_bytes > 0 and breakdown.remote_bytes > 0

@@ -2,8 +2,9 @@
 
 :func:`repro.slotinit.slot_init` replaces the dataclass-generated
 ``__init__`` of ``MetadataRecord``, ``PlacedSegment``, ``Extent``,
-``PatternPayload`` and ``IORequest`` and adds their unvalidated
-``_derived`` constructor.  Each type must behave exactly like a stock
+``PatternPayload``, ``IORequest``, ``BytesPayload`` and
+``CorruptPayload`` and adds their unvalidated ``_derived``
+constructor.  Each type must behave exactly like a stock
 ``make_dataclass(..., frozen=True, slots=True)`` clone of itself: same
 signature, field values, equality, hash and repr, the same validation
 errors, frozenness, and pickle/copy/replace round trips.
@@ -23,7 +24,8 @@ from repro.core.dhp import PlacedSegment
 from repro.core.metadata import MetadataRecord
 from repro.simmpi.mpiio import IORequest
 from repro.slotinit import slot_init
-from repro.storage.datamodel import BytesPayload, Extent, PatternPayload
+from repro.storage.datamodel import (BytesPayload, CorruptPayload, Extent,
+                                     PatternPayload)
 
 naturals = st.integers(min_value=0, max_value=1 << 40)
 positives = st.integers(min_value=1, max_value=1 << 40)
@@ -42,6 +44,8 @@ VALID = {
     PatternPayload: st.tuples(naturals),
     IORequest: st.tuples(naturals, naturals, naturals,
                          st.none() | payloads, naturals),
+    BytesPayload: st.tuples(st.binary(max_size=8)),
+    CorruptPayload: st.tuples(naturals),
 }
 TYPES = list(VALID)
 
@@ -52,6 +56,8 @@ SAMPLE = {
     Extent: (100, 50, PatternPayload(9), 7),
     PatternPayload: (9,),
     IORequest: (1, 100, 50, PatternPayload(7), 3),
+    BytesPayload: (b"abc",),
+    CorruptPayload: (5,),
 }
 
 #: Per type: invalid positional arguments and the error each raises.
@@ -76,6 +82,10 @@ INVALID = {
         ((0, -5, 10), "negative offset -5"),
         ((0, 0, -1), "negative length -1"),
         ((0, 0, 10, PatternPayload(1), -5), "negative payload offset -5"),
+    ],
+    BytesPayload: [],
+    CorruptPayload: [
+        ((-3,), "corrupt token must be a non-negative int, got -3"),
     ],
 }
 
@@ -159,6 +169,14 @@ class TestAgainstTheStockDataclass:
                 setattr(obj, f.name, getattr(obj, f.name))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(obj, f.name)
+        # A name that is not a field is refused the same way.
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match="cannot assign to field 'extra'"):
+            obj.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match="cannot delete field 'extra'"):
+            del obj.extra
+        assert field_values(obj) == field_values(cls(*SAMPLE[cls]))
 
     def test_pickle_copy_replace_round_trip(self, cls):
         obj = cls(*SAMPLE[cls])
