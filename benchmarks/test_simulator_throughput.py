@@ -18,7 +18,6 @@ from repro.core import metadata as metadata_module
 from repro.core.config import StorageTier, UniviStorConfig
 from repro.core.dhp import DHPWriter, LogFile, PlacedSegment
 from repro.core.flush import FlushService
-from repro.core.location_cache import LocationCache
 from repro.core.metadata import (MetadataRecord, MetadataService,
                                  coalesce_records, pieces_by_range)
 from repro.core.server import FileSession
@@ -120,20 +119,20 @@ class TestMetadataFastPath:
         assert benchmark(run) > 0
 
     def test_cached_read_latency(self, benchmark):
-        """Strided multi-range lookups: location-cache hits plus the
-        per-range cost accounting."""
+        """Strided multi-range lookups through ``MetadataService.lookup``
+        on a file its mirror tracks: mirror hits plus the per-range cost
+        accounting, the path every read takes."""
         chunk = int(4 * KiB)
         n_records = 16384  # 64 MiB of 4 KiB pieces, writers alternating
         md = MetadataService(n_servers=4, range_size=float(64 * KiB),
-                             replication=1)
-        cache = LocationCache(md.range_size)
-        cache.begin_file(1)
-        records = [MetadataRecord(1, i * chunk, chunk, i % 4,
-                                  float(i * chunk), StorageTier.DRAM,
-                                  i % 2)
-                   for i in range(n_records)]
-        md.insert_many(records)
-        cache.insert_records(pieces_by_range(records, md.range_size))
+                             replication=1, location_cache=True)
+        md.create_file(1)
+        hits = []
+        md.on_cache_event = lambda name, n: hits.append(name == "cache-hit")
+        md.insert_many([MetadataRecord(1, i * chunk, chunk, i % 4,
+                                       float(i * chunk), StorageTier.DRAM,
+                                       i % 2)
+                        for i in range(n_records)])
         span = int(1 * MiB)
         limit = n_records * chunk - span
         offsets = [(j * 997 * chunk) % limit // chunk * chunk
@@ -142,12 +141,13 @@ class TestMetadataFastPath:
         def run():
             total = 0
             for off in offsets:
-                found = cache.lookup(1, off, span)
-                md.read_servers_for(1, off, span)
+                found, servers = md.lookup(1, off, span)
+                assert len(servers) == 4
                 total += len(found)
             return total
 
         assert benchmark(run) > 0
+        assert hits and all(hits)
 
     def test_route_table_reuse(self, monkeypatch):
         """A 1024-proc VPIC-IO checkpoint (8 collective writes): each
@@ -203,8 +203,8 @@ class TestMetadataFastPath:
 
     def test_one_apply_per_store_range(self, monkeypatch):
         """A 1024-proc VPIC-IO checkpoint: each shipped range reaches
-        each acker's store in one ``apply_insert`` call and the location
-        cache in one more, and ``MetadataRecord.__post_init__`` runs
+        each acker's store in one ``apply_insert`` call and the metadata
+        mirror in one more, and ``MetadataRecord.__post_init__`` runs
         once per record the client builds — cut pieces, merges and
         slices skip it."""
         apply_insert = metadata_module.apply_insert
@@ -217,10 +217,9 @@ class TestMetadataFastPath:
             counts["applies"] += 1
             return apply_insert(store, pieces, range_size)
 
-        def noting_insert_many(md, records, by_range=None):
-            assert by_range is not None  # the client cuts once
-            touched = insert_many(md, records, by_range)
-            for range_index in by_range:
+        def noting_insert_many(md, records):
+            touched = insert_many(md, records)
+            for range_index in pieces_by_range(records, md.range_size):
                 # Ackers from the route table: unsplit, no side effects.
                 counts["expected"] += len(md._ackers[range_index]) + 1
             return touched
@@ -244,7 +243,7 @@ class TestMetadataFastPath:
                             counting_post_init)
         procs = 1024
         sim, fstype = build_simulation(procs, "UniviStor/(DRAM+BB)")
-        assert sim.univistor.location_cache is not None
+        assert sim.univistor.metadata.location_cache is not None
         comm = sim.comm("vpic", size=procs)
         vpic = VpicIO(sim, comm, fstype, steps=1, compute_seconds=0.0,
                       particles_per_proc=1 << 20)

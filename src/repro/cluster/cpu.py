@@ -176,9 +176,6 @@ class CorePlacement:
         socket_load = [0] * sockets
         overflow: List[Tuple[str, int, str]] = []
 
-        def least_loaded_socket() -> int:
-            return int(np.argmin(socket_load))
-
         # Pass 1: spread every program across sockets onto free cores.
         for prog in programs:
             base, rem = divmod(prog.nprocs, sockets)

@@ -28,8 +28,7 @@ from repro.core.config import StorageTier
 from repro.core.errors import DataQuorumLostError
 from repro.core.dhp import LayerPlan
 from repro.core.metadata import (MetadataRecord, MetadataUnavailableError,
-                                 QuorumLostError, coalesce_records,
-                                 pieces_by_range)
+                                 QuorumLostError, coalesce_records)
 from repro.core.server import FileSession, UniviStorServers
 from repro.core.versioning import stamp_with_epochs
 from repro.gcpause import collector_paused
@@ -185,7 +184,14 @@ class UniviStorDriver(ADIODriver):
                             self._ship_pending(session, pending)
                             pending = []
                             pending_spans = []
-                    self._free_overwritten(session, req)
+                    # Free the log space of the records this write
+                    # supersedes (free-chunk stack reuse, §II-B1).
+                    for rec in metadata.overwritten(session.fid, req.offset,
+                                                    req.length):
+                        owner = session.writers.get(rec.proc_id)
+                        if owner is not None:
+                            layer, addr = owner.vas.resolve(rec.va)
+                            owner.log(layer).free_segment(addr, rec.length)
                     segments = writer.write(req.offset, req.length,
                                             req.payload, req.payload_offset)
                     # The node the writer lookup found (the one holding the
@@ -393,63 +399,17 @@ class UniviStorDriver(ADIODriver):
     def _ship_pending(self, session: FileSession,
                       pending: List[MetadataRecord]) -> None:
         """Ship the op's accumulated records: coalesce contiguous
-        neighbours and cut them into range-local pieces once
-        (:func:`pieces_by_range`), then one
-        :meth:`MetadataService.insert_many` (one journal batch per
-        touched range) and the write-through of the same pieces into the
-        location cache.  A no-op when nothing is pending."""
+        neighbours, then one :meth:`MetadataService.insert_many` (one
+        journal batch per touched range).  A no-op when nothing is
+        pending."""
         if not pending:
             return
-        system = self.system
         records, merges = coalesce_records(pending)
-        by_range = pieces_by_range(records, system.metadata.range_size)
-        system.metadata.insert_many(records, by_range)
-        cache = system.location_cache
-        if cache is not None:
-            cache.insert_records(by_range)
+        self.system.metadata.insert_many(records)
         telemetry = self.telemetry
         telemetry.incr("meta-batch")
         if merges:
             telemetry.incr("meta-coalesce", merges)
-
-    def _free_overwritten(self, session: FileSession, req: IORequest) -> None:
-        """Release log space for data this write supersedes (free-chunk
-        stack reuse, §II-B1).
-
-        The location cache answers for tracked files — the same servers
-        are still charged (``read_servers_for`` reproduces the lookup's
-        per-range contacts, failover telemetry and unavailability
-        errors), only the store search is skipped.  Old records found
-        here are this write's overwrite victims: the write-through
-        supersede invalidates their cache entries.  The overwrite check
-        prices nothing, so that call runs only for its side effects and
-        is skipped while read routing is silent
-        (:meth:`~repro.core.metadata.MetadataService.read_routing_silent`:
-        it can then neither raise nor leave a trace).
-        """
-        metadata = self.system.metadata
-        cache = self.system.location_cache
-        old = None
-        if cache is not None:
-            old = cache.lookup(session.fid, req.offset, req.length)
-        if old is not None:
-            if not metadata.read_routing_silent():
-                metadata.read_servers_for(session.fid, req.offset,
-                                          req.length)
-            self.telemetry.incr("cache-hit")
-            if old:
-                self.telemetry.incr("cache-invalidate")
-        else:
-            if cache is not None:
-                self.telemetry.incr("cache-miss")
-            old, _servers = metadata.lookup(session.fid, req.offset,
-                                            req.length)
-        for rec in old:
-            writer = session.writers.get(rec.proc_id)
-            if writer is None:
-                continue
-            layer, addr = writer.vas.resolve(rec.va)
-            writer.log(layer).free_segment(addr, rec.length)
 
     def read_at_all(self, state: _OpenFile, requests: List[IORequest]
                     ) -> Generator:

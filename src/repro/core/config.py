@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Tuple
 
 from repro.units import MiB
@@ -152,11 +152,10 @@ class UniviStorConfig:
     #: from its session cursor on the next tick, bounding the background
     #: bandwidth one tick may consume.
     scrub_rate_limit: float = 0.0
-    #: Client-side (fid, offset-range) -> (ProcID, VA) location cache:
-    #: reads on tracked files resolve placement locally and skip the
-    #: server-side store search.  Timing-neutral (the same metadata RPCs
-    #: are charged); invalidated on overwrite, flush, delete and
-    #: recovery takeover.
+    #: The metadata service's per-file (fid, offset-range) -> (ProcID,
+    #: VA) mirror: lookups on tracked files skip the store search.
+    #: Timing-neutral (the same metadata RPCs are charged); dropped on
+    #: delete, flush and every layout change (docs/MODEL.md §9).
     location_cache: bool = True
     #: Journal checkpointing: fold a metadata range's write-ahead journal
     #: into a compacted checkpoint once it reaches this many entries and
@@ -283,14 +282,11 @@ class UniviStorConfig:
                                             StorageTier.SHARED_BB), **kw)
 
     def without(self, *flags: str) -> "UniviStorConfig":
-        """Disable optimisation flags by name (for ablation variants)."""
-        valid = {"interference_aware", "collective_open_close",
-                 "adaptive_striping", "location_aware_reads",
-                 "workflow_enabled", "flush_enabled",
-                 "resilience_enabled", "adaptive_placement",
-                 "self_healing",
-                 "location_cache", "meta_quorum",
-                 "bb_quota_enforced", "hotspot_enabled"}
+        """Disable optimisation flags by name (for ablation variants):
+        any ``bool`` field."""
+        # Annotations are strings here (``from __future__ import
+        # annotations``).
+        valid = {f.name for f in fields(self) if f.type == "bool"}
         changes = {}
         for flag in flags:
             if flag not in valid:

@@ -67,10 +67,6 @@ class PlacedSegment:
     va: float
     physical_address: float
 
-    @property
-    def logical_end(self) -> int:
-        return self.logical_offset + self.length
-
 
 class LogFile:
     """One process's log on one storage layer.
@@ -303,13 +299,6 @@ class LogFile:
                     free.append(cid)
             addr += in_chunk
             remaining -= in_chunk
-
-    def read_runs(self, runs: Sequence[Tuple[float, int]]):
-        """Materialise extents for physical runs (for the read service)."""
-        out = []
-        for addr, length in runs:
-            out.extend(self.sim_file.read_at(int(addr), int(length)))
-        return out
 
 
 def _geometry(capacity: float, chunk_size: float

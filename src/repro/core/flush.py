@@ -159,12 +159,9 @@ class FlushService:
             # Functionally materialise the logical file on the PFS.
             self._materialise_to_pfs(session)
             session.flushed_bytes += pending
-            # Flush-driven migration invalidation: the flush moved data
-            # across layers, so the client-side location cache drops the
-            # file rather than trust its cached layer placement.
-            cache = system.location_cache
-            if cache is not None and cache.invalidate_file(session.fid):
-                system.count("cache-invalidate")
+            # The flush moved data across layers: the metadata mirror
+            # drops the file rather than trust its layer placement.
+            system.metadata.drop_mirror(session.fid)
         finally:
             sched.end_flush()
             if config.workflow_enabled:

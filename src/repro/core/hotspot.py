@@ -21,9 +21,9 @@ Every action drains through the metadata service's quorum checks — the
 minority side of a partition cannot split, merge, or migrate — and a
 refused action is simply deferred to a later tick (``hotspot-deferred``).
 State handoff is priced like a takeover: the journal/checkpoint pieces
-replayed onto new members become a timed background transfer, and every
-layout change conservatively clears the client location caches exactly as
-a takeover does.
+replayed onto new members become a timed background transfer, and the
+metadata service drops its mirror on every layout change exactly as on a
+takeover (docs/MODEL.md §9).
 
 The tick loop is a normal engine process, so it must let the engine drain
 to quiescence: it exits after an idle interval and is restarted by the
@@ -169,7 +169,6 @@ class HotspotManager:
                 0.0)
             self.actions.append((self.engine.now, "split", range_index))
             self._handoff(f"split:range{range_index}", moved)
-            self.system.invalidate_location_caches()
         saturated = (len(metadata._splits.get(range_index, ()))
                      >= pool_size > 0)
         return acted, saturated
@@ -190,7 +189,6 @@ class HotspotManager:
         self.actions.append((self.engine.now, "rereplicate", range_index))
         if moved:
             self._handoff(f"rereplicate:range{range_index}", moved)
-            self.system.invalidate_location_caches()
         return True
 
     def _merge_cold(self, range_index: int) -> bool:
@@ -207,7 +205,6 @@ class HotspotManager:
                                    0.0)
         self.actions.append((self.engine.now, "merge", range_index))
         self._handoff(f"merge:range{range_index}", moved)
-        self.system.invalidate_location_caches()
         return True
 
     # -- pool elasticity ---------------------------------------------------

@@ -44,6 +44,15 @@ every change to routing state starts a new generation.  All of it is
 timing-neutral: the simulated cost accounting is unchanged, only the
 simulator's own work shrinks.
 
+Every placement lookup goes through :meth:`MetadataService.lookup` (the
+write path's overwrite check through :meth:`~MetadataService.overwritten`).
+With ``location_cache`` on, the service keeps a per-file **mirror** of
+its stores (:class:`~repro.core.location_cache.LocationCache`): a file is
+tracked from :meth:`~MetadataService.create_file`, every accepted insert
+is written through, and the mirror is dropped on delete, flush migration
+and every layout change.  A tracked file's lookup is answered from the
+mirror, with the same routing charged, so callers never pick a path.
+
 Hotspot mitigation (adaptive extension, docs/MODEL.md §11): a base
 offset range can be **split online** into contiguous sub-ranges with
 independent replica sets (:meth:`split_range` / :meth:`merge_range`), so
@@ -67,6 +76,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -77,7 +87,7 @@ from repro.slotinit import slot_init
 __all__ = ["MetadataRecord", "MetadataService", "MetadataUnavailableError",
            "QuorumLostError", "coalesce_records", "split_record",
            "pieces_by_range", "record_run_end", "record_runs",
-           "apply_insert"]
+           "apply_insert", "clip_records"]
 
 
 class MetadataUnavailableError(DataLossError):
@@ -165,9 +175,8 @@ def pieces_by_range(records: Iterable["MetadataRecord"], range_size: float
     grouped by range index in the order the batch first touches each
     range.  Ranges partition the offset space, so the grouping keeps
     every range's pieces in batch order and cannot reorder an
-    overwrite.  This is the cut :meth:`MetadataService.insert_many` and
-    the location-cache write-through both apply, so a collective cuts
-    each record once and hands the grouping to both."""
+    overwrite.  :meth:`MetadataService.insert_many` cuts its batch
+    once and hands the grouping to both the stores and the mirror."""
     by_range: Dict[int, List[MetadataRecord]] = {}
     for record in records:
         index = int(record.offset // range_size)
@@ -232,8 +241,8 @@ def apply_insert(store: Dict[int, Tuple[List[int], List["MetadataRecord"]]],
     mix fids) in one call.
 
     Shared by the authoritative per-server stores, the journal
-    checkpoint's scratch replay and the client-side
-    :class:`~repro.core.location_cache.LocationCache`, so every view
+    checkpoint's scratch replay and the service's mirror
+    (:class:`~repro.core.location_cache.LocationCache`), so every view
     holds byte-identical record lists by construction.
     """
     fid = None
@@ -355,6 +364,28 @@ def _cut(record: MetadataRecord, start: int, end: int) -> MetadataRecord:
                     record.node_id)
 
 
+def clip_records(starts: List[int], recs: List[MetadataRecord], lo: int,
+                 hi: int, found: List[MetadataRecord]) -> None:
+    """Append the records of one ``(starts, records)`` interval list that
+    overlap [lo, hi) to ``found``, clipped to it, in offset order — the
+    search of every lookup, over a server's store or the mirror.  A
+    record inside the span is shared (records are frozen), not copied."""
+    first = bisect.bisect_left(starts, lo)
+    if first > 0 and recs[first - 1].end > lo:
+        first -= 1
+    # Upper bound by bisect too: iterating a tail *slice* copied
+    # O(records-per-server) per lookup.
+    for i in range(first, bisect.bisect_left(starts, hi, first)):
+        rec = recs[i]
+        rec_end = rec.offset + rec.length
+        if rec_end <= lo:
+            continue
+        if rec.offset >= lo and rec_end <= hi:
+            found.append(rec)
+        else:
+            found.append(_cut(rec, max(rec.offset, lo), min(rec_end, hi)))
+
+
 class MetadataService:
     """The distributed KV store over all UniviStor servers.
 
@@ -365,7 +396,8 @@ class MetadataService:
 
     def __init__(self, n_servers: int, range_size: float,
                  replication: int = 1, replica_stride: int = 1,
-                 checkpoint_threshold: int = 0, quorum: bool = False):
+                 checkpoint_threshold: int = 0, quorum: bool = False,
+                 location_cache: bool = False):
         if n_servers < 1:
             raise ValueError(f"need at least one server, got {n_servers}")
         if range_size <= 0:
@@ -385,6 +417,9 @@ class MetadataService:
                              f"{checkpoint_threshold}")
         self.n_servers = n_servers
         self.range_size = float(range_size)
+        # The same width as an int: the span walk's floor divisions stay
+        # in integer arithmetic.
+        self._range_bytes = int(range_size)
         self.replication = min(replication, n_servers)
         self.replica_stride = replica_stride
         #: Fold a range's journal into a compacted checkpoint once it
@@ -421,6 +456,18 @@ class MetadataService:
         #: Observer called as ``on_failover(range_index, server)`` when a
         #: read is served by a non-primary replica (telemetry wiring).
         self.on_failover: Optional[Callable[[int, int], None]] = None
+        #: The per-file mirror of the stores (docs/MODEL.md §9), or None
+        #: with ``location_cache`` off.
+        self.location_cache = None
+        if location_cache:
+            from repro.core.location_cache import LocationCache
+            self.location_cache = LocationCache(self.range_size)
+        #: Observer called as ``on_cache_event(counter, n)`` for mirror
+        #: hits, misses and drops: ``cache-hit`` / ``cache-miss`` once
+        #: per lookup, ``cache-invalidate`` once per dropped file and
+        #: once per overwrite check that found records on a hit
+        #: (telemetry wiring).
+        self.on_cache_event: Optional[Callable[[str, int], None]] = None
         # server -> fid -> (sorted start offsets, records)
         self._stores: List[Dict[int, Tuple[List[int], List[MetadataRecord]]]] = [
             dict() for _ in range(n_servers)]
@@ -574,17 +621,46 @@ class MetadataService:
                 break
         return list(members)
 
-    def _overlapping_subs(self, range_index: int, lo: int,
-                          hi: int) -> Iterable[Tuple[int, int]]:
-        """Clipped ``(span_lo, span_hi)`` of each sub-range of a *split*
-        range overlapping [lo, hi), in offset order."""
-        subs = self._splits[range_index]
-        base_end = int((range_index + 1) * self.range_size)
-        for i, (start, _members) in enumerate(subs):
-            end = subs[i + 1][0] if i + 1 < len(subs) else base_end
-            if end <= lo or start >= hi:
-                continue
-            yield max(lo, start), min(hi, end)
+    def _spans(self, offset: int, end: int
+               ) -> Sequence[Tuple[int, int, int]]:
+        """``(range_index, span_lo, span_hi)`` of every sub-range
+        overlapping [offset, end), clipped to it, in offset order — an
+        unsplit range is one sub-range.  The one walk every routing
+        query runs; a span's ``span_lo`` picks its sub-range's members
+        (:meth:`read_server_of`, :meth:`_write_ackers`)."""
+        size = self._range_bytes
+        splits = self._splits
+        first = offset // size
+        last = (end - 1) // size
+        if first == last and not splits:
+            # The hot case: one unsplit range, the request itself.
+            return ((int(first), offset, end),)
+        spans = []
+        lo = offset
+        for range_index in range(int(first), int(last) + 1):
+            range_end = (range_index + 1) * size
+            hi = end if end < range_end else range_end
+            subs = splits.get(range_index) if splits else None
+            if subs is None:
+                spans.append((range_index, lo, hi))
+            else:
+                for i, (start, _members) in enumerate(subs):
+                    sub_end = (subs[i + 1][0] if i + 1 < len(subs)
+                               else range_end)
+                    if sub_end > lo and start < hi:
+                        spans.append((range_index, max(lo, start),
+                                      min(hi, sub_end)))
+            lo = hi
+        return spans
+
+    def _refused(self, err: DataLossError, fid: int, range_index: int,
+                 offset: int, end: int) -> None:
+        """Range-level detection, request-level reporting: name the
+        refusing range's span, clipped to the request, on the error."""
+        err.fid = fid
+        err.offset = max(offset, int(range_index * self.range_size))
+        err.length = (min(end, int((range_index + 1) * self.range_size))
+                      - err.offset)
 
     def _note_write(self, range_index: int) -> None:
         self._write_heat[range_index] = (
@@ -717,26 +793,13 @@ class MetadataService:
         return set(self._stale.get(range_index, ()))
 
     def servers_for_range(self, offset: int, length: int) -> Set[int]:
-        """All servers owning part of [offset, offset+length)."""
+        """All servers owning part of [offset, offset+length): the
+        primary of every sub-range it touches."""
         if length <= 0:
             return set()
-        end = offset + length
-        first = int(offset // self.range_size)
-        last = int((end - 1) // self.range_size)
-        if self._splits or self._pool is not None or self._range_replicas:
-            owners: Set[int] = set()
-            for r in range(first, last + 1):
-                if r in self._splits:
-                    lo = max(offset, int(r * self.range_size))
-                    hi = min(end, int((r + 1) * self.range_size))
-                    for span_lo, _hi in self._overlapping_subs(r, lo, hi):
-                        owners.add(self._members_at(r, span_lo)[0])
-                else:
-                    owners.add(self.replica_servers(r)[0])
-            return owners
-        if last - first + 1 >= self.n_servers:
-            return set(range(self.n_servers))
-        return {(r % self.n_servers) for r in range(first, last + 1)}
+        return {self._members_at(range_index, lo)[0]
+                for range_index, lo, _hi in self._spans(offset,
+                                                        offset + length)}
 
     @staticmethod
     def _cut_at_subs(pieces: List[MetadataRecord],
@@ -848,16 +911,12 @@ class MetadataService:
             fenced.add(server)
             self._routing_changed()
 
-    def insert_many(self, records: Iterable[MetadataRecord],
-                    by_range: Optional[Dict[int, List[MetadataRecord]]]
-                    = None) -> Set[int]:
+    def insert_many(self, records: Iterable[MetadataRecord]) -> Set[int]:
         """Insert a batch (overwriting overlaps); returns servers contacted.
 
-        One range-ordered pass: every record is cut into range-local
-        pieces (:func:`pieces_by_range`; a caller that already holds
-        that grouping of ``records`` passes it as ``by_range`` and the
-        records are not cut again), and the ranges are handled in the
-        order the batch first touches them.  Only a *split* range's
+        One range-ordered pass: every record is cut once into range-local
+        pieces (:func:`pieces_by_range`), and the ranges are handled in
+        the order the batch first touches them.  Only a *split* range's
         pieces are cut again, at its sub-range boundaries.  Ranges
         partition the offset space, so grouping pieces by range cannot
         reorder an overwrite.  Per range, the ackers are checked before
@@ -868,15 +927,16 @@ class MetadataService:
         acker (one :func:`apply_insert` call per acker; a split range's
         pieces one call each, on their sub-ranges' ackers), live members
         that missed them are fenced as stale, and the journal may
-        checkpoint.
+        checkpoint.  The mirror is written through with the range-local
+        pieces, before any sub-range cut.
 
         The first range that cannot ack raises, with the fid, offset and
         length of the refused piece attached.  Every earlier range stays
-        applied and journaled; the refused range and every later one are
-        left untouched.
+        applied, journaled and mirrored; the refused range and every
+        later one are left untouched.
         """
-        if by_range is None:
-            by_range = pieces_by_range(records, self.range_size)
+        by_range = pieces_by_range(records, self.range_size)
+        mirror = self.location_cache
         splits = self._splits
         touched: Set[int] = set()
         insert = self._insert_pieces
@@ -902,6 +962,10 @@ class MetadataService:
                 err.fid = piece.fid
                 err.offset = piece.offset
                 err.length = piece.length
+                if mirror is not None:
+                    mirror.insert_records({
+                        done: by_range[done] for done in
+                        takewhile(range_index.__ne__, by_range)})
                 raise
             self._journal.setdefault(range_index, []).extend(pieces)
             if split:
@@ -920,6 +984,8 @@ class MetadataService:
                 if self.unreachable_servers or self._stale:
                     self._mark_missed(range_index, ackers)
             self._maybe_checkpoint(range_index)
+        if mirror is not None:
+            mirror.insert_records(by_range)
         return touched
 
     def _insert_pieces(self, server: int, range_index: int,
@@ -979,6 +1045,29 @@ class MetadataService:
         if self.on_checkpoint is not None:
             self.on_checkpoint(range_index, truncated)
 
+    # -- the mirror's lifecycle ---------------------------------------------
+    def create_file(self, fid: int) -> None:
+        """A new file: no record of ``fid`` exists yet, so the mirror
+        (when on) tracks it from here and stays complete by
+        write-through."""
+        if self.location_cache is not None:
+            self.location_cache.begin_file(fid)
+
+    def drop_mirror(self, fid: int) -> None:
+        """Stop answering ``fid`` from the mirror (delete, and the flush's
+        layer migration); a dropped file is never tracked again."""
+        if (self.location_cache is not None
+                and self.location_cache.invalidate_file(fid)
+                and self.on_cache_event is not None):
+            self.on_cache_event("cache-invalidate", 1)
+
+    def _drop_mirrors(self) -> None:
+        """A layout change: every tracked file leaves the mirror."""
+        if self.location_cache is not None:
+            dropped = self.location_cache.clear()
+            if dropped and self.on_cache_event is not None:
+                self.on_cache_event("cache-invalidate", dropped)
+
     def delete_file(self, fid: int) -> Set[int]:
         """Drop all records of ``fid``; returns servers contacted."""
         touched = set()
@@ -999,6 +1088,7 @@ class MetadataService:
                 self._journal[range_index] = kept
             elif range_index in self._journal:
                 del self._journal[range_index]
+        self.drop_mirror(fid)
         return touched
 
     # -- recovery (range takeover) -----------------------------------------
@@ -1118,6 +1208,8 @@ class MetadataService:
             for server in fenced:
                 self._fence(range_index, server)
             actions.append((range_index, new_subs[0][1][0]))
+        if actions:
+            self._drop_mirrors()
         return actions
 
     def _rebuild_copy(self, range_index: int, server: int) -> None:
@@ -1303,6 +1395,7 @@ class MetadataService:
                                      + subs[i + 1:])
         self._range_replicas.pop(range_index, None)
         self._bump_epoch(range_index)
+        self._drop_mirrors()
         self.splits_done += 1
         return moved
 
@@ -1338,6 +1431,7 @@ class MetadataService:
             if server in target or server in self.failed_servers:
                 continue
             self._drop_span(server, base_lo, base_hi)
+        self._drop_mirrors()
         self.merges_done += 1
         return moved
 
@@ -1372,6 +1466,8 @@ class MetadataService:
         # own: split ranges never enter the table.)
         self._read_spread.setdefault(range_index, 0)
         self._routing_changed()
+        if moved:
+            self._drop_mirrors()
         return moved
 
     def _pin_assignments(self) -> None:
@@ -1404,6 +1500,7 @@ class MetadataService:
         # Pinning kept every data-bearing range's route; ranges without
         # data route over the grown pool from now on.
         self._routing_changed()
+        self._drop_mirrors()
         return new_id
 
     def remove_server(self, server: int) -> int:
@@ -1464,14 +1561,15 @@ class MetadataService:
         if server in self._pool:
             self._pool.remove(server)
         self._routing_changed()
+        self._drop_mirrors()
         self.migrations_done += 1
         return moved
 
-    # -- cost accounting (fast-path helpers) -------------------------------
+    # -- routing queries ----------------------------------------------------
     def write_target_servers(self, fid: int, offset: int,
                              length: int) -> Set[int]:
         """Servers an insert covering [offset, offset+length) contacts —
-        the live replica set of every touched range.
+        the live replica set of every touched sub-range.
 
         Client-computable without the records themselves: the write
         path ships one aggregated :meth:`insert_many` per collective op
@@ -1486,133 +1584,128 @@ class MetadataService:
             return set()
         end = offset + length
         touched: Set[int] = set()
-        first = int(offset // self.range_size)
-        last = int((end - 1) // self.range_size)
-        for range_index in range(first, last + 1):
-            try:
-                if self._splits and range_index in self._splits:
-                    sub_lo = max(offset, int(range_index * self.range_size))
-                    sub_hi = min(end, int((range_index + 1)
-                                          * self.range_size))
-                    for span_lo, _hi in self._overlapping_subs(
-                            range_index, sub_lo, sub_hi):
-                        touched.update(self._write_ackers(range_index,
-                                                          span_lo))
-                else:
-                    touched.update(self._write_ackers(range_index))
-            except DataLossError as err:
-                err.fid = fid
-                err.offset = max(offset, int(range_index * self.range_size))
-                err.length = (min(end, int((range_index + 1)
-                                           * self.range_size))
-                              - err.offset)
-                raise
+        try:
+            for range_index, lo, _hi in self._spans(offset, end):
+                touched.update(self._write_ackers(range_index, lo))
+        except DataLossError as err:
+            self._refused(err, fid, range_index, offset, end)
+            raise
         return touched
 
     def read_servers_for(self, fid: int, offset: int,
                          length: int) -> Set[int]:
-        """Servers a :meth:`lookup` over the span would contact, without
-        searching the stores — the location-cache hit path.
+        """Servers a :meth:`lookup` over the span contacts, without
+        searching the stores — the routing the overwrite check charges
+        on a mirror hit.
 
-        Calls :meth:`read_server_of` per range in the same order as
-        ``lookup``, so failover telemetry fires identically and a lost
-        range raises the same request-annotated
+        Calls :meth:`read_server_of` per sub-range in the same order as
+        the store search, so failover telemetry fires identically and a
+        lost range raises the same request-annotated
         :class:`MetadataUnavailableError`.
         """
         if length <= 0:
             return set()
         end = offset + length
         touched: Set[int] = set()
-        first = int(offset // self.range_size)
-        last = int((end - 1) // self.range_size)
-        for range_index in range(first, last + 1):
-            try:
-                if self._splits and range_index in self._splits:
-                    sub_lo = max(offset, int(range_index * self.range_size))
-                    sub_hi = min(end, int((range_index + 1)
-                                          * self.range_size))
-                    for span_lo, _hi in self._overlapping_subs(
-                            range_index, sub_lo, sub_hi):
-                        touched.add(self.read_server_of(range_index,
-                                                        span_lo))
-                else:
-                    touched.add(self.read_server_of(range_index))
-            except (MetadataUnavailableError, QuorumLostError) as err:
-                err.fid = fid
-                err.offset = max(offset, int(range_index * self.range_size))
-                err.length = (min(end, int((range_index + 1)
-                                           * self.range_size))
-                              - err.offset)
-                raise
+        try:
+            for range_index, lo, _hi in self._spans(offset, end):
+                touched.add(self.read_server_of(range_index, lo))
+        except DataLossError as err:
+            self._refused(err, fid, range_index, offset, end)
+            raise
         return touched
 
     # -- lookup ------------------------------------------------------------
     def lookup(self, fid: int, offset: int,
                length: int) -> Tuple[List[MetadataRecord], Set[int]]:
-        """Records overlapping [offset, offset+length), clipped to it,
-        plus the servers contacted.  Unmapped holes are simply absent.
+        """Records overlapping [offset, offset+length), clipped to it and
+        in offset order, plus the servers contacted.  Unmapped holes are
+        simply absent.
 
-        Each range in the span is answered by its first live replica, so
-        the result never duplicates records across replicas and a dead
-        primary costs only the failover to the next copy.
+        Each sub-range in the span is answered by its first live replica
+        (:meth:`read_server_of`), so the result never duplicates records
+        across replicas and a dead primary costs only the failover to
+        the next copy.  A file the mirror tracks is answered from the
+        mirror instead, with the identical routing charged (the servers,
+        failover telemetry and errors of :meth:`read_servers_for`).
         """
         if length <= 0:
+            # Resolves nothing and avoids no store search: counts as
+            # neither a mirror hit nor a miss.
             return [], set()
         end = offset + length
+        # The mirror's interval list of a tracked file: it answers in
+        # place of the serving replicas' stores.
+        mirrored = None
+        mirror = self.location_cache
+        note = self.on_cache_event
+        if mirror is not None:
+            files = mirror.files
+            if fid in files:
+                mirrored = files[fid]
+            elif note is not None:
+                note("cache-miss", 1)
         touched: Set[int] = set()
         found: List[MetadataRecord] = []
-        first = int(offset // self.range_size)
-        last = int((end - 1) // self.range_size)
-        bisect_left = bisect.bisect_left
-        for range_index in range(first, last + 1):
-            sub_lo = max(offset, int(range_index * self.range_size))
-            sub_hi = min(end, int((range_index + 1) * self.range_size))
-            try:
-                if self._splits and range_index in self._splits:
-                    # Split range: one serving replica per overlapping
-                    # sub-range, each answering only its own span.
-                    spans = [(self.read_server_of(range_index, span_lo),
-                              span_lo, span_hi)
-                             for span_lo, span_hi in self._overlapping_subs(
-                                 range_index, sub_lo, sub_hi)]
-                else:
-                    spans = ((self.read_server_of(range_index),
-                              sub_lo, sub_hi),)
-            except (MetadataUnavailableError, QuorumLostError) as err:
-                # Range-level detection, request-level reporting: attach
-                # what the caller was actually asking for.
-                err.fid = fid
-                err.offset = sub_lo
-                err.length = sub_hi - sub_lo
-                raise
-            for server, span_lo, span_hi in spans:
+        stores = self._stores
+        spans = self._spans(offset, end)
+        try:
+            for range_index, lo, hi in spans:
+                server = self.read_server_of(range_index, lo)
                 touched.add(server)
-                store = self._stores[server].get(fid)
-                if store is None:
-                    continue
-                starts, recs = store
-                lo = bisect_left(starts, span_lo)
-                if lo > 0 and recs[lo - 1].end > span_lo:
-                    lo -= 1
-                # Upper bound by bisect too: iterating a tail *slice*
-                # copied O(records-per-server) per lookup.
-                hi = bisect_left(starts, span_hi, lo)
-                for i in range(lo, hi):
-                    rec = recs[i]
-                    rec_end = rec.offset + rec.length
-                    if rec_end <= span_lo:
-                        continue
-                    if rec.offset >= span_lo and rec_end <= span_hi:
-                        # Fully-covered record: the clip is the identity
-                        # and records are frozen, so share instead of
-                        # copying.  (The common case — inserts split at
-                        # range boundaries, so aligned reads never clip.)
-                        found.append(rec)
-                    else:
-                        found.append(rec.slice(max(rec.offset, span_lo),
-                                               min(rec_end, span_hi)))
-        found.sort(key=lambda r: r.offset)
+                if mirrored is None:
+                    entry = stores[server].get(fid)
+                    if entry is not None:
+                        clip_records(entry[0], entry[1], lo, hi, found)
+        except DataLossError as err:
+            self._refused(err, fid, range_index, offset, end)
+            raise
+        if mirrored is not None:
+            if self._splits:
+                # The mirror merges records across sub-range boundaries,
+                # like a member holding adjacent subs: clip each span
+                # apart, as the stores answer it.
+                for _r, lo, hi in spans:
+                    clip_records(mirrored[0], mirrored[1], lo, hi, found)
+            else:
+                # No mirrored record crosses a range boundary: one clip
+                # answers every span.
+                clip_records(mirrored[0], mirrored[1], offset, end, found)
+            if note is not None:
+                note("cache-hit", 1)
         return found, touched
+
+    def overwritten(self, fid: int, offset: int,
+                    length: int) -> List[MetadataRecord]:
+        """The write path's overwrite check: the records a write over
+        [offset, offset+length) supersedes — :meth:`lookup`'s records.
+        It prices nothing, so on a mirror hit the routing
+        (:meth:`read_servers_for`) runs only for its side effects and is
+        skipped while :meth:`read_routing_silent`; a hit that finds
+        records also counts their mirror entries' supersede as a
+        ``cache-invalidate``."""
+        mirror = self.location_cache
+        found = (mirror.lookup(fid, offset, length)
+                 if mirror is not None and length > 0 else None)
+        if found is None:
+            return self.lookup(fid, offset, length)[0]
+        if not self.read_routing_silent():
+            self.read_servers_for(fid, offset, length)
+        if self._splits and found:
+            # The mirror merges records across sub-range boundaries, like
+            # a member holding adjacent subs; lookup answers each sub's
+            # span apart.
+            whole, found = found, []
+            starts = [rec.offset for rec in whole]
+            for _r, lo, hi in self._spans(offset, offset + length):
+                clip_records(starts, whole, lo, hi, found)
+        note = self.on_cache_event
+        if note is not None:
+            note("cache-hit", 1)
+            if found:
+                # The write-through supersedes these entries.
+                note("cache-invalidate", 1)
+        return found
 
     def records_of(self, fid: int) -> List[MetadataRecord]:
         """All records of a file in ``(offset, proc_id)`` order (flush

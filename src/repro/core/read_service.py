@@ -321,8 +321,6 @@ class ReadService:
         """Timed collective read; returns ``({rank: [Extent]}, breakdown)``."""
         location_aware = self.system.config.location_aware_reads
         metadata = self.system.metadata
-        cache = self.system.location_cache
-        count = self.system.count
         breakdown = ReadBreakdown()
         results: Dict[int, List[Extent]] = {}
         # keyed (node_id, tier): DRAM and local-SSD hits use their device.
@@ -339,27 +337,9 @@ class ReadService:
                 if req.length == 0:
                     results[req.rank] = []
                     continue
-                # Location-cache fast path: a tracked file resolves placement
-                # locally.  The same per-range metadata RPCs are charged
-                # (read_servers_for contacts the identical servers, fires the
-                # identical failover telemetry and raises the identical
-                # unavailability errors), so timing is unchanged — only the
-                # server-side store search is skipped.
                 try:
-                    records = (cache.lookup(session.fid, req.offset,
-                                            req.length)
-                               if cache is not None else None)
-                    if records is not None:
-                        servers = metadata.read_servers_for(session.fid,
-                                                            req.offset,
-                                                            req.length)
-                        count("cache-hit")
-                    else:
-                        if cache is not None:
-                            count("cache-miss")
-                        records, servers = metadata.lookup(session.fid,
-                                                           req.offset,
-                                                           req.length)
+                    records, servers = metadata.lookup(session.fid,
+                                                       req.offset, req.length)
                 except (MetadataUnavailableError, QuorumLostError):
                     # PFS namespace fallback: the range's metadata is lost or
                     # quorum-unreachable, but if every cached byte has been

@@ -84,10 +84,6 @@ class RecoveryService:
         actions = metadata.recover_server(server_id)
         if not actions:
             return
-        # Range takeover rewrote replica assignments under the clients:
-        # every location cache is cleared (the shared layout-change
-        # invalidation path, also used by splits/merges/migrations).
-        self.system.invalidate_location_caches()
         jobs: List[Tuple[int, int, int]] = []
         for range_index, new_primary in actions:
             total = len(metadata.journal_records(range_index))

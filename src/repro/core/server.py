@@ -148,19 +148,12 @@ class UniviStorServers:
                             if self.total_servers > config.servers_per_node
                             else 1),
             checkpoint_threshold=config.journal_checkpoint,
-            quorum=config.meta_quorum)
+            quorum=config.meta_quorum,
+            location_cache=config.location_cache)
         self.metadata.on_failover = self._note_metadata_failover
         self.metadata.on_checkpoint = self._note_journal_checkpoint
         self.metadata.on_read_repair = self._note_read_repair
         self.metadata.on_fence_reject = self._note_fence_reject
-        # Client-side location cache (metadata fast path, §9): tracked
-        # files resolve read placement locally; write-through plus the
-        # invalidation hooks (overwrite / flush / delete / takeover)
-        # keep it a byte-identical mirror of the authoritative stores.
-        from repro.core.location_cache import LocationCache
-        self.location_cache = (
-            LocationCache(config.metadata_range_size)
-            if config.location_cache else None)
         self.scheduler = SchedulerService(machine, config, self.program)
         self.workflow = WorkflowManager(self.engine)
         self._sessions: Dict[str, FileSession] = {}
@@ -250,16 +243,6 @@ class UniviStorServers:
                    - len(self.metadata._retired))
 
     # -- elastic metadata pool (docs/MODEL.md §11) -------------------------
-    def invalidate_location_caches(self) -> None:
-        """Clear the client location caches after a layout change
-        (takeover, split, merge, migration, pool resize).  Conservative —
-        the cached records may still be right, but the coherence contract
-        is "never serve from a cache a layout change may have outdated"."""
-        if self.location_cache is not None:
-            dropped = self.location_cache.clear()
-            if dropped:
-                self.count("cache-invalidate", dropped)
-
     def grow_pool(self) -> int:
         """Add a metadata server to the pool at runtime; returns its id.
 
@@ -271,7 +254,6 @@ class UniviStorServers:
         self.total_servers += 1
         self.count("pool-grow")
         self.telemetry_hook("pool-grow", f"server:{new_id}", 0.0)
-        self.invalidate_location_caches()
         return new_id
 
     def shrink_pool(self, server_id: int) -> Optional[int]:
@@ -293,7 +275,6 @@ class UniviStorServers:
             return None
         self.count("pool-shrink")
         self.telemetry_hook("pool-shrink", f"server:{server_id}", 0.0)
-        self.invalidate_location_caches()
         return moved
 
     def fail_node(self, node_id: int) -> None:
@@ -516,10 +497,7 @@ class UniviStorServers:
                 raise FileNotFoundError(path)
             sess = FileSession(self, self.fid_of(path), path)
             self._sessions[path] = sess
-            if self.location_cache is not None:
-                # Track from birth: no record of the fid exists yet, so
-                # the empty cache is a complete mirror.
-                self.location_cache.begin_file(sess.fid)
+            self.metadata.create_file(sess.fid)
         return sess
 
     def has_session(self, path: str) -> bool:
@@ -628,9 +606,6 @@ class UniviStorServers:
         if sess is None:
             return
         self.metadata.delete_file(sess.fid)
-        if self.location_cache is not None:
-            if self.location_cache.invalidate_file(sess.fid):
-                self.count("cache-invalidate")
         for rank, writer in sess.writers.items():
             for log in writer.created_logs:
                 if log.device is not None and log.allocated_chunks:

@@ -61,11 +61,6 @@ class Communicator:
             return []
         return list(range(max(0, lo), hi))
 
-    @property
-    def nodes_used(self) -> List[ComputeNode]:
-        return [n for n in self.machine.nodes
-                if self._per_node_counts[n.node_id] > 0]
-
     def procs_on_node(self, node_id: int) -> int:
         return self._per_node_counts[node_id]
 
@@ -80,11 +75,6 @@ class Communicator:
 
     def bcast_small(self) -> Event:
         """Broadcast of a small (metadata-sized) message from the root."""
-        return self.engine.timeout(
-            self.machine.network.bcast_cost(self.size))
-
-    def gather_small(self) -> Event:
-        """Gather of small messages to the root (tree, same cost shape)."""
         return self.engine.timeout(
             self.machine.network.bcast_cost(self.size))
 

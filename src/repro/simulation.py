@@ -66,6 +66,9 @@ class Simulation:
         self.univistor = UniviStorServers(self.machine,
                                           config or UniviStorConfig())
         self.univistor.telemetry = self.telemetry
+        # Mirror hits and misses count once per lookup: straight to the
+        # sink, the hottest counters of the metadata plane.
+        self.univistor.metadata.on_cache_event = self.telemetry.incr
         self.registry.register(UniviStorDriver(self.univistor,
                                                self.telemetry))
         return self.univistor

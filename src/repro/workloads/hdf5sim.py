@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.simmpi.mpiio import IORequest
-from repro.storage.datamodel import BytesPayload, PatternPayload, Payload
+from repro.storage.datamodel import PatternPayload, Payload
 
 __all__ = ["DatasetSpec", "Hdf5Layout"]
 
@@ -72,12 +72,6 @@ class Hdf5Layout:
                 ds.bytes_per_proc)
 
     # -- request builders ---------------------------------------------------
-    def metadata_write(self) -> IORequest:
-        """Root's superblock/object-header write."""
-        return IORequest(0, 0, METADATA_REGION_BYTES,
-                         BytesPayload(b"\x89HDF\r\n" +
-                                      bytes(METADATA_REGION_BYTES - 6)))
-
     def write_requests(self, name: str,
                        payload_seed_base: int = 0) -> List[IORequest]:
         """One block write per rank; rank ``r`` carries pattern payload

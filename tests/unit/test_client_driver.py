@@ -235,5 +235,6 @@ class TestMetadataRangeLoss:
         found, _ = system.metadata.lookup(fid, 0, block)
         assert [(r.offset, r.length, r.proc_id) for r in found] == [
             (0, block // 4, 0)]
-        # The location cache still mirrors the store exactly.
-        assert system.location_cache.lookup(fid, 0, block) == found
+        # The metadata mirror still holds exactly what the stores hold.
+        assert system.metadata.location_cache.lookup(fid, 0, block) == \
+            system.metadata.records_of(fid) == found

@@ -1,5 +1,6 @@
 """Unit tests for UniviStorConfig."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -71,6 +72,15 @@ class TestUniviStorConfig:
     def test_without_unknown_flag(self):
         with pytest.raises(ValueError):
             UniviStorConfig().without("warp_drive")
+
+    def test_without_accepts_every_bool_field_only(self):
+        bools = [f.name for f in dataclasses.fields(UniviStorConfig)
+                 if f.type == "bool"]
+        assert len(bools) == 13
+        config = UniviStorConfig().without(*bools)
+        assert not any(getattr(config, name) for name in bools)
+        with pytest.raises(ValueError, match="unknown flag 'chunk_size'"):
+            UniviStorConfig().without("chunk_size")
 
     def test_pfs_in_cache_tiers_rejected(self):
         with pytest.raises(ValueError):

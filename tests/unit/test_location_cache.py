@@ -1,5 +1,5 @@
-"""Client-side location cache: mirror exactness and every invalidation
-hook (overwrite, flush migration, delete, recovery takeover) —
+"""The metadata service's location-cache mirror: mirror exactness and
+every drop (overwrite, flush migration, delete, recovery takeover) —
 docs/MODEL.md §9."""
 
 import pytest
@@ -32,6 +32,16 @@ def as_tuples(records):
             for r in records]
 
 
+def store_lookup(md, fid, offset, length):
+    """``md.lookup`` answered from the stores alone, as with the mirror
+    off."""
+    mirror, md.location_cache = md.location_cache, None
+    try:
+        return md.lookup(fid, offset, length)
+    finally:
+        md.location_cache = mirror
+
+
 class TestMirrorExactness:
     """A tracked-since-birth cache answers lookups byte-identically to
     the authoritative store — including overwrites and holes."""
@@ -44,9 +54,8 @@ class TestMirrorExactness:
         return md, cache
 
     def both_insert(self, md, cache, records):
-        by_range = pieces_by_range(records, md.range_size)
-        md.insert_many(records, by_range)
-        cache.insert_records(by_range)
+        md.insert_many(records)
+        cache.insert_records(pieces_by_range(records, md.range_size))
 
     def test_lookup_equals_authoritative(self):
         md, cache = self.mirror_pair()
@@ -72,28 +81,33 @@ class TestMirrorExactness:
         md, cache = self.mirror_pair()
         self.both_insert(md, cache, [rec(0, 16 * KB)])
         assert cache.lookup(1, 1024 * KB, 16 * KB) == []
-        assert cache.hits == 1
 
     def test_untracked_file_is_a_miss(self):
         _md, cache = self.mirror_pair()
         assert cache.lookup(7, 0, 16 * KB) is None
-        assert cache.misses == 1
 
     def test_zero_length_lookup_counts_neither_hit_nor_miss(self):
         """A degenerate (length <= 0) request resolves nothing and
         avoids no store search, so it must not move the hit/miss
         telemetry — counting before validation inflated the hit rate."""
-        md, cache = self.mirror_pair()
-        self.both_insert(md, cache, [rec(0, 16 * KB)])
+        md = MetadataService(n_servers=4, range_size=64 * KB,
+                             replication=2, location_cache=True)
+        events = []
+        md.on_cache_event = lambda name, n: events.append(name)
+        md.create_file(1)
+        md.insert_many([rec(0, 16 * KB)])
+        cache = md.location_cache
         assert cache.lookup(1, 0, 0) == []
         assert cache.lookup(1, 4 * KB, -1) == []
         assert cache.lookup(7, 0, 0) is None  # untracked stays a None
-        assert cache.hits == 0
-        assert cache.misses == 0
+        assert md.lookup(1, 0, 0) == ([], set())
+        assert md.overwritten(1, 4 * KB, -1) == []
+        assert md.lookup(7, 0, 0) == ([], set())
+        assert events == []
         # Real requests still count.
-        assert cache.lookup(1, 0, 4 * KB)
-        assert cache.lookup(7, 0, 4 * KB) is None
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert md.lookup(1, 0, 4 * KB)[0]
+        assert md.lookup(7, 0, 4 * KB)[0] == []
+        assert events == ["cache-hit", "cache-miss"]
 
     def test_untracked_inserts_ignored_never_retracked(self):
         md, cache = self.mirror_pair()
@@ -120,7 +134,6 @@ class TestMirrorExactness:
         cache.begin_file(2)
         self.both_insert(md, cache, [rec(0, 16 * KB)])
         assert cache.clear() == 2
-        assert cache.invalidations == 2
         assert cache.lookup(1, 0, 16 * KB) is None
 
     def test_range_boundary_split_mirrors_store(self):
@@ -177,10 +190,10 @@ class TestSimCoherence:
         write_blocks(sim, comm, "/f", block)
         system = sim.univistor
         fid = system.session("/f").fid
-        cache = system.location_cache
+        cache = system.metadata.location_cache
         assert cache.tracks(fid)
         # The mirror holds exactly what the authoritative store holds.
-        auth, _ = system.metadata.lookup(fid, 0, comm.size * block)
+        auth, _ = store_lookup(system.metadata, fid, 0, comm.size * block)
         assert as_tuples(cache.lookup(fid, 0, comm.size * block)) \
             == as_tuples(auth)
         data = read_all(sim, comm, "/f", block)
@@ -191,15 +204,15 @@ class TestSimCoherence:
         sim, comm = setup()
         block = int(64 * KiB)
         write_blocks(sim, comm, "/f", block)
-        # Same region rewritten: _free_overwritten consults the cache,
+        # Same region rewritten: the overwrite check reads the mirror,
         # the write-through supersedes, and reads still see the fresh
         # bytes (same payloads here; coherence is checked against the
         # authoritative store directly).
         write_blocks(sim, comm, "/f", block)
         system = sim.univistor
         fid = system.session("/f").fid
-        auth, _ = system.metadata.lookup(fid, 0, comm.size * block)
-        assert as_tuples(system.location_cache.lookup(
+        auth, _ = store_lookup(system.metadata, fid, 0, comm.size * block)
+        assert as_tuples(system.metadata.location_cache.lookup(
             fid, 0, comm.size * block)) == as_tuples(auth)
         assert sim.telemetry.counters.get("cache-hit", 0) > 0
         assert sim.telemetry.counters.get("cache-invalidate", 0) > 0
@@ -213,7 +226,7 @@ class TestSimCoherence:
         fid = system.session("/f").fid
         # Flush moved the bytes down a layer: the cached VAs' layer
         # association is stale, so the file must be dropped...
-        assert not system.location_cache.tracks(fid)
+        assert not system.metadata.location_cache.tracks(fid)
         assert sim.telemetry.counters.get("cache-invalidate", 0) > 0
         # ...and post-flush reads (authoritative path) stay correct.
         assert_payloads(read_all(sim, comm, "/f", block), comm, block)
@@ -225,7 +238,7 @@ class TestSimCoherence:
         system = sim.univistor
         fid = system.session("/f").fid
         system.delete_file("/f")
-        assert not system.location_cache.tracks(fid)
+        assert not system.metadata.location_cache.tracks(fid)
         assert sim.telemetry.counters.get("cache-invalidate", 0) > 0
 
     def test_takeover_clears_cache(self):
@@ -235,13 +248,13 @@ class TestSimCoherence:
         write_blocks(sim, comm, "/f", block)
         system = sim.univistor
         fid = system.session("/f").fid
-        assert system.location_cache.tracks(fid)
+        assert system.metadata.location_cache.tracks(fid)
         system.metadata.fail_server(0)
         system.recovery.handle_server_dead(0)
         assert system.recovery.takeovers, "no range takeover happened"
         # Replica sets were rewritten under the client: whole cache goes.
-        assert not system.location_cache.tracks(fid)
-        assert system.location_cache.lookup(fid, 0, block) is None
+        assert not system.metadata.location_cache.tracks(fid)
+        assert system.metadata.location_cache.lookup(fid, 0, block) is None
         # Reads after the takeover come from the authoritative stores and
         # still reassemble the right bytes.
         assert_payloads(read_all(sim, comm, "/f", block), comm, block)
@@ -251,7 +264,7 @@ class TestSimCoherence:
             flush_enabled=False).without("location_cache"))
         block = int(64 * KiB)
         write_blocks(sim, comm, "/f", block)
-        assert sim.univistor.location_cache is None
+        assert sim.univistor.metadata.location_cache is None
         assert "cache-hit" not in sim.telemetry.counters
         assert_payloads(read_all(sim, comm, "/f", block), comm, block)
 

@@ -475,7 +475,7 @@ class TestInsertManyContract:
             finally:
                 for patch in patches:
                     patch.stop()
-            return md._stores, cache._files
+            return md._stores, cache.files
 
         assert build(general=False) == build(general=True)
 
@@ -489,8 +489,8 @@ class TestInsertManyContract:
 
 class TestCutOnce:
     """A shipped collective cuts each record at range boundaries once
-    (:func:`pieces_by_range`) and hands that grouping to both the
-    stores and the location cache (docs/MODEL.md §9)."""
+    (:func:`pieces_by_range`, inside ``insert_many``) and hands that
+    grouping to both the stores and the mirror (docs/MODEL.md §9)."""
 
     _pending = st.lists(st.tuples(st.integers(min_value=0, max_value=120),
                                   st.integers(min_value=1, max_value=50),
@@ -505,22 +505,40 @@ class TestCutOnce:
                               StorageTier.DRAM, 0)
 
     @staticmethod
+    def _service(n_servers, range_size, mirror, replication=1, splits=()):
+        """A service with ``splits`` applied whose file 1, created after
+        them (a split drops the mirror), is tracked: by the service's own
+        mirror, or by a stand-alone cache the reference fills."""
+        md = MetadataService(n_servers, range_size, replication=replication,
+                             location_cache=mirror)
+        for r in splits:
+            md.split_range(r)
+        md.create_file(1)
+        cache = md.location_cache
+        if cache is None:
+            cache = LocationCache(range_size)
+            cache.begin_file(1)
+        return md, cache
+
+    @staticmethod
     def _ship(md, cache, pending):
-        """The client's real ship step, on a stub driver."""
-        driver = SimpleNamespace(
-            system=SimpleNamespace(metadata=md, location_cache=cache),
-            telemetry=mock.Mock())
+        """The client's real ship step, on a stub driver; the service
+        writes its own mirror through."""
+        assert cache is md.location_cache
+        driver = SimpleNamespace(system=SimpleNamespace(metadata=md),
+                                 telemetry=mock.Mock())
         UniviStorDriver._ship_pending(driver, None, pending)
 
     @staticmethod
     def _per_record(md, cache, pending):
-        """Reference: ``insert_many(records)`` plus the cache insert that
-        cut every record again."""
+        """Reference: ``insert_many(records)`` on a service without a
+        mirror, plus a cache insert that cuts every record again."""
+        assert md.location_cache is None
         records, _merges = coalesce_records(pending)
         md.insert_many(records)
         for record in records:
             if cache.tracks(record.fid):
-                apply_insert(cache._files,
+                apply_insert(cache.files,
                              split_record(record, cache.range_size),
                              cache.range_size)
 
@@ -537,23 +555,17 @@ class TestCutOnce:
         untracked fid (2): every store, every journal and the cache
         hold the same records as the per-record path."""
         def build(ship):
-            md = MetadataService(n_servers, range_size,
-                                 replication=min(replication, n_servers))
-            for r in splits:
-                md.split_range(r)
-            cache = LocationCache(range_size)
-            cache.begin_file(1)
+            md, cache = self._service(n_servers, range_size,
+                                      ship == self._ship,
+                                      min(replication, n_servers), splits)
             for batch in batches:
                 ship(md, cache, [self._record(*w) for w in batch])
-            return md._stores, md._journal, cache._files
+            return md._stores, md._journal, cache.files
 
         assert build(self._ship) == build(self._per_record)
 
     def test_each_shipped_record_is_cut_once(self):
-        md = MetadataService(4, 16, replication=2)
-        md.split_range(1)
-        cache = LocationCache(16)
-        cache.begin_file(1)
+        md, cache = self._service(4, 16, True, replication=2, splits=[1])
         pending = [self._record(0, 40, 0, 1), self._record(40, 9, 1, 1),
                    self._record(49, 30, 1, 1), self._record(100, 20, 0, 2)]
         records, _merges = coalesce_records(pending)
@@ -573,13 +585,13 @@ class TestCutOnce:
         sim.install_univistor(UniviStorConfig.dram_only(
             metadata_range_size=int(16 * KB)))
         comm = sim.comm("app", 4, procs_per_node=2)
-        assert sim.univistor.location_cache is not None
+        assert sim.univistor.metadata.location_cache is not None
         shipped = []
         insert_many = MetadataService.insert_many
 
-        def spy(md, records, by_range=None):
+        def spy(md, records):
             shipped.append(len(records))
-            return insert_many(md, records, by_range)
+            return insert_many(md, records)
 
         def app():
             fh = yield from sim.open(comm, "/f", "w", fstype="univistor")

@@ -239,7 +239,8 @@ class TestGeneration:
         assert md.write_target_servers(1, 0, 8) == {0, 1}
         md.insert_many([MetadataRecord(1, 0, 8, 0, 0.0, StorageTier.DRAM,
                                        0)])
-        assert computed == [(0, None)]
+        # Computed once, by the probe, at its span's low offset.
+        assert computed == [(0, 0)]
         md.fail_server(1)
         assert md.write_target_servers(1, 0, 8) == {0}
         assert len(computed) == 2
