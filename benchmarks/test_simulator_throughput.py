@@ -202,16 +202,18 @@ class TestMetadataFastPath:
         assert len(computed) <= len(touched)
 
     def test_one_apply_per_store_range(self, monkeypatch):
-        """A 1024-proc VPIC-IO checkpoint: each shipped range reaches
-        each acker's store in one ``apply_insert`` call and the metadata
-        mirror in one more, and ``MetadataRecord.__post_init__`` runs
-        once per record the client builds — cut pieces, merges and
-        slices skip it."""
+        """A 1024-proc VPIC-IO checkpoint: each shipped batch reaches
+        each acker's store in one ``apply_insert`` call, whatever the
+        number of ranges it touches there, and the metadata mirror in
+        one more, and ``MetadataRecord.__post_init__`` runs once per
+        record the client builds — cut pieces, merges and slices skip
+        it."""
         apply_insert = metadata_module.apply_insert
         insert_many = MetadataService.insert_many
         coalesce = client_module.coalesce_records
         post_init = MetadataRecord.__post_init__
-        counts = {"applies": 0, "expected": 0, "built": 0, "validated": 0}
+        counts = {"applies": 0, "expected": 0, "per_range": 0, "built": 0,
+                  "validated": 0}
 
         def counting_apply(store, pieces, range_size):
             counts["applies"] += 1
@@ -219,9 +221,12 @@ class TestMetadataFastPath:
 
         def noting_insert_many(md, records):
             touched = insert_many(md, records)
+            ackers = set()
             for range_index in pieces_by_range(records, md.range_size):
                 # Ackers from the route table: unsplit, no side effects.
-                counts["expected"] += len(md._ackers[range_index]) + 1
+                ackers.update(md._ackers[range_index])
+                counts["per_range"] += len(md._ackers[range_index]) + 1
+            counts["expected"] += len(ackers) + 1
             return touched
 
         def noting_coalesce(pending):
@@ -251,6 +256,9 @@ class TestMetadataFastPath:
 
         assert counts["built"] >= 8 * procs
         assert counts["applies"] == counts["expected"]
+        # Fewer calls than one per (acker, range) and one per mirrored
+        # range.
+        assert counts["applies"] < counts["per_range"]
         assert counts["validated"] == counts["built"]
 
     def test_flush_copy_one_window_per_run(self, monkeypatch):

@@ -89,15 +89,14 @@ class LocationCache:
         """Mirror an accepted insert batch, given as the range-local
         pieces the stores applied, grouped by range
         (:func:`~repro.core.metadata.pieces_by_range`); the pieces are
-        applied as given, never cut again, one :func:`apply_insert` call
-        per range.  Untracked fids are ignored — a partial mirror would
-        be exactly the stale cache this class exists to prevent."""
+        applied as given, never cut again, all in one
+        :func:`apply_insert` call (pieces of different ranges commute).
+        Untracked fids are ignored — a partial mirror would be exactly
+        the stale cache this class exists to prevent."""
         files = self.files
-        range_size = self.range_size
-        for pieces in by_range.values():
-            tracked = [piece for piece in pieces if piece.fid in files]
-            if tracked:
-                apply_insert(files, tracked, range_size)
+        apply_insert(files, (piece for pieces in by_range.values()
+                             for piece in pieces if piece.fid in files),
+                     self.range_size)
 
     # -- lookup ------------------------------------------------------------
     def lookup(self, fid: int, offset: int,

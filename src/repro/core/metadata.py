@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, takewhile
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -171,21 +171,45 @@ def split_record(record: "MetadataRecord",
 
 def pieces_by_range(records: Iterable["MetadataRecord"], range_size: float
                     ) -> Dict[int, List["MetadataRecord"]]:
-    """Cut a batch into range-local pieces (:func:`split_record`),
-    grouped by range index in the order the batch first touches each
-    range.  Ranges partition the offset space, so the grouping keeps
-    every range's pieces in batch order and cannot reorder an
-    overwrite.  :meth:`MetadataService.insert_many` cuts its batch
-    once and hands the grouping to both the stores and the mirror."""
+    """Cut a batch into range-local pieces, grouped by range index in
+    the order the batch first touches each range.  Ranges partition the
+    offset space, so the grouping keeps every range's pieces in batch
+    order and cannot reorder an overwrite.
+    :meth:`MetadataService.insert_many` cuts its batch once and hands
+    the grouping to both the stores and the mirror.
+
+    The cut is :func:`split_record`'s, done inline in integer
+    arithmetic on the whole-byte range width: the same pieces, and a
+    record inside one range is kept, not copied."""
+    size = int(range_size)
     by_range: Dict[int, List[MetadataRecord]] = {}
+    get = by_range.get
     for record in records:
-        index = int(record.offset // range_size)
-        for piece in split_record(record, range_size):
-            pieces = by_range.get(index)
+        start = record.offset
+        end = start + record.length
+        index = int(start // size)
+        if index == int((end - 1) // size):
+            pieces = get(index)
+            if pieces is None:
+                by_range[index] = [record]
+            else:
+                pieces.append(record)
+            continue
+        offset, va = start, record.va
+        fid, proc_id = record.fid, record.proc_id
+        tier, node_id = record.tier, record.node_id
+        while start < end:
+            cut = (index + 1) * size
+            if cut >= end:
+                cut = end
+            piece = _derived(fid, start, cut - start, proc_id,
+                             va + (start - offset), tier, node_id)
+            pieces = get(index)
             if pieces is None:
                 by_range[index] = [piece]
             else:
                 pieces.append(piece)
+            start = cut
             index += 1
     return by_range
 
@@ -238,7 +262,9 @@ def apply_insert(store: Dict[int, Tuple[List[int], List["MetadataRecord"]]],
     created merge, never across a range boundary.  The result is the
     store that applying the pieces one at a time leaves; callers pass a
     whole range's pieces (they may be unsorted, overlap one another and
-    mix fids) in one call.
+    mix fids) in one call.  One call may take several ranges' pieces,
+    each range's in its order: no piece crosses a range and no merge
+    does, so pieces of different ranges commute.
 
     Shared by the authoritative per-server stores, the journal
     checkpoint's scratch replay and the service's mirror
@@ -404,7 +430,7 @@ class MetadataService:
             raise ValueError(f"range_size must be positive, got {range_size}")
         if not float(range_size).is_integer():
             # Range boundaries are byte offsets: a fractional width puts
-            # them between bytes and split_record cuts empty pieces.
+            # them between bytes and the cut makes empty pieces.
             raise ValueError(f"range_size must be a whole number of bytes, "
                              f"got {range_size}")
         if replication < 1:
@@ -923,87 +949,111 @@ class MetadataService:
         any piece is applied (every sub-range's, for a split range —
         :meth:`_write_ackers`); then the range's pieces are journaled
         with one ``extend`` (after the check: a rejected write must not
-        be resurrected by a later takeover replay), applied on every
-        acker (one :func:`apply_insert` call per acker; a split range's
-        pieces one call each, on their sub-ranges' ackers), live members
-        that missed them are fenced as stale, and the journal may
-        checkpoint.  The mirror is written through with the range-local
-        pieces, before any sub-range cut.
+        be resurrected by a later takeover replay), each acker's copy
+        takes them (:meth:`_admits`; a split range's pieces one at a
+        time, on their sub-ranges' ackers), live members that missed
+        them are fenced as stale, and the journal may checkpoint.
+
+        The pieces an acker takes are applied to its store after the
+        pass, in one :func:`apply_insert` call per acker: no piece
+        crosses a range and no merge does, so the pieces of different
+        ranges commute, and the call leaves the store the per-range
+        calls would.  The mirror is written through with the range-local
+        pieces, before any sub-range cut, in one call.
 
         The first range that cannot ack raises, with the fid, offset and
         length of the refused piece attached.  Every earlier range stays
         applied, journaled and mirrored; the refused range and every
         later one are left untouched.
         """
-        by_range = pieces_by_range(records, self.range_size)
+        by_range = pieces_by_range(records, self._range_bytes)
         mirror = self.location_cache
         splits = self._splits
         touched: Set[int] = set()
-        insert = self._insert_pieces
-        for range_index, pieces in by_range.items():
-            subs = splits.get(range_index)
-            split = subs is not None
-            if split and len(subs) > 1:
-                pieces = self._cut_at_subs(pieces, subs)
-            # The piece a refusal names: the range's first, or for a
-            # split range the first whose sub-range cannot ack.
-            piece = pieces[0]
-            try:
+        admits = self._admits
+        # acker -> the piece lists its copy takes, range by range (the
+        # lists themselves: a batch's pieces are not copied).
+        taken: Dict[int, List[Sequence[MetadataRecord]]] = {}
+        try:
+            for range_index, pieces in by_range.items():
+                subs = splits.get(range_index)
+                split = subs is not None
+                if split and len(subs) > 1:
+                    pieces = self._cut_at_subs(pieces, subs)
+                # The piece a refusal names: the range's first, or for a
+                # split range the first whose sub-range cannot ack.
+                piece = pieces[0]
+                try:
+                    if split:
+                        # Each piece routes to its sub-range's member set
+                        # (pieces are already sliced at sub boundaries).
+                        per_piece = []
+                        for piece in pieces:
+                            per_piece.append(
+                                self._write_ackers(range_index, piece.offset))
+                    else:
+                        ackers = self._write_ackers(range_index)
+                except DataLossError as err:
+                    err.fid = piece.fid
+                    err.offset = piece.offset
+                    err.length = piece.length
+                    if mirror is not None:
+                        mirror.insert_records({
+                            done: by_range[done] for done in
+                            takewhile(range_index.__ne__, by_range)})
+                    raise
+                self._journal.setdefault(range_index, []).extend(pieces)
                 if split:
-                    # Each piece routes to its sub-range's member set
-                    # (pieces are already sliced at sub boundaries).
-                    per_piece = []
-                    for piece in pieces:
-                        per_piece.append(
-                            self._write_ackers(range_index, piece.offset))
+                    for piece, ackers in zip(pieces, per_piece):
+                        for server in ackers:
+                            touched.add(server)
+                            if admits(server, range_index, (piece,)):
+                                taken.setdefault(server, []).append(
+                                    (piece,))
+                        if self.unreachable_servers or self._stale:
+                            self._mark_missed(
+                                range_index, ackers,
+                                self._members_at(range_index, piece.offset))
                 else:
-                    ackers = self._write_ackers(range_index)
-            except DataLossError as err:
-                err.fid = piece.fid
-                err.offset = piece.offset
-                err.length = piece.length
-                if mirror is not None:
-                    mirror.insert_records({
-                        done: by_range[done] for done in
-                        takewhile(range_index.__ne__, by_range)})
-                raise
-            self._journal.setdefault(range_index, []).extend(pieces)
-            if split:
-                for piece, ackers in zip(pieces, per_piece):
                     for server in ackers:
                         touched.add(server)
-                        insert(server, range_index, (piece,))
+                        if admits(server, range_index, pieces):
+                            taken.setdefault(server, []).append(pieces)
                     if self.unreachable_servers or self._stale:
-                        self._mark_missed(
-                            range_index, ackers,
-                            self._members_at(range_index, piece.offset))
-            else:
-                for server in ackers:
-                    touched.add(server)
-                    insert(server, range_index, pieces)
-                if self.unreachable_servers or self._stale:
-                    self._mark_missed(range_index, ackers)
-            self._maybe_checkpoint(range_index)
+                        self._mark_missed(range_index, ackers)
+                self._maybe_checkpoint(range_index)
+        finally:
+            stores = self._stores
+            for server, lists in taken.items():
+                apply_insert(stores[server], chain.from_iterable(lists),
+                             self.range_size)
         if mirror is not None:
             mirror.insert_records(by_range)
         return touched
 
-    def _insert_pieces(self, server: int, range_index: int,
-                       pieces: Sequence[MetadataRecord]) -> None:
-        """Apply one range's pieces to the server's store in one
-        :func:`apply_insert` call."""
+    def _admits(self, server: int, range_index: int,
+                pieces: Sequence[MetadataRecord]) -> bool:
+        """True when the server's copy of the range takes the pieces.
+        The fencing enforcement point: a stale-epoch copy refuses the
+        write even if some path routes one here — the rebuilt journal
+        replay is the only way back to currency.  The check is per
+        (server, range); each refused piece still counts and reports
+        once."""
         if self._stale and server in self._stale.get(range_index, ()):
-            # Fencing enforcement point: a stale-epoch copy refuses the
-            # write even if some path routes one here — the rebuilt
-            # journal replay is the only way back to currency.  The
-            # check is per (server, range); each refused piece still
-            # counts and reports once.
             self.fence_rejections += len(pieces)
             if self.on_fence_reject is not None:
                 for _piece in pieces:
                     self.on_fence_reject(range_index, server)
-            return
-        apply_insert(self._stores[server], pieces, self.range_size)
+            return False
+        return True
+
+    def _insert_pieces(self, server: int, range_index: int,
+                       pieces: Sequence[MetadataRecord]) -> None:
+        """Apply one range's pieces to the server's store in one
+        :func:`apply_insert` call, if its copy takes them
+        (:meth:`_admits`)."""
+        if self._admits(server, range_index, pieces):
+            apply_insert(self._stores[server], pieces, self.range_size)
 
     # -- journal checkpointing ---------------------------------------------
     def _maybe_checkpoint(self, range_index: int) -> None:

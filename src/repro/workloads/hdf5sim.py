@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.gcpause import collector_paused
 from repro.simmpi.mpiio import IORequest
 from repro.storage.datamodel import PatternPayload, Payload
 
@@ -72,6 +73,9 @@ class Hdf5Layout:
                 ds.bytes_per_proc)
 
     # -- request builders ---------------------------------------------------
+    # A request list is a bulk build (one request, and for a write one
+    # payload, per rank) that stays alive: the cyclic collector stays off
+    # across it (docs/MODEL.md §9).
     def write_requests(self, name: str,
                        payload_seed_base: int = 0) -> List[IORequest]:
         """One block write per rank; rank ``r`` carries pattern payload
@@ -79,10 +83,11 @@ class Hdf5Layout:
         whole dataset reads back as one coherent per-rank stream)."""
         ds = self.dataset(name)
         base, size = self._offsets[name], ds.bytes_per_proc
-        return [IORequest(rank, base + rank * size, size,
-                          PatternPayload(payload_seed_base + rank),
-                          payload_offset=0)
-                for rank in range(ds.nprocs)]
+        with collector_paused():
+            return [IORequest(rank, base + rank * size, size,
+                              PatternPayload(payload_seed_base + rank),
+                              payload_offset=0)
+                    for rank in range(ds.nprocs)]
 
     def read_requests(self, name: str,
                       ranks: Optional[List[int]] = None,
@@ -92,10 +97,12 @@ class Hdf5Layout:
         ds = self.dataset(name)
         base, size = self._offsets[name], ds.bytes_per_proc
         out = []
-        for block in range(ds.nprocs) if ranks is None else ranks:
-            reader = block if reader_of_block is None else reader_of_block(block)
-            _check_rank(ds, block)
-            out.append(IORequest(reader, base + block * size, size))
+        with collector_paused():
+            for block in range(ds.nprocs) if ranks is None else ranks:
+                reader = (block if reader_of_block is None
+                          else reader_of_block(block))
+                _check_rank(ds, block)
+                out.append(IORequest(reader, base + block * size, size))
         return out
 
     def expected_block_payload(self, name: str, rank: int,

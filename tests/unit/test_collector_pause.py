@@ -3,14 +3,15 @@
 :func:`repro.gcpause.collector_paused` switches CPython's cyclic
 collector off across a collective's synchronous bulk build — the
 placement loop and metadata ship of a collective write, the resolve
-loop of a collective read, and ``ReadService.copy_records`` (the flush
-and replication copy) — and gives the caller back the state it had, on
-every exit: a normal return, an exception, or a generator closed inside
-the pause.  No other simulated process runs while it is off
+loop of a collective read, ``ReadService.copy_records`` (the flush
+and replication copy) and a workload's request lists — and gives the
+caller back the state it had, on every exit: a normal return, an
+exception, or a generator closed inside the pause.  No other simulated process runs while it is off
 (docs/MODEL.md §9, "Bulk builds and the cyclic collector").
 """
 
 import gc
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.core.metadata import MetadataUnavailableError
 from repro.core.read_service import ReadService
 from repro.gcpause import collector_paused
 from repro.units import KiB
+from repro.workloads.hdf5sim import DatasetSpec, Hdf5Layout
 
 BLOCK = int(64 * KiB)
 
@@ -265,4 +267,57 @@ class TestBulkBuilds:
                 session, records, failing_target,
                 lambda record: session.pfs_versions)
         assert inside == [False]
+        assert gc.isenabled()
+
+
+class TestRequestLists:
+    """``Hdf5Layout.write_requests`` and ``read_requests`` build one
+    request (and for a write one payload) per rank in a bulk build that
+    stays alive, with the collector off."""
+
+    RANKS = 4096
+
+    @pytest.fixture
+    def inside(self):
+        """The request-list function each collection the collector
+        starts inside a request-list build runs under, while the test
+        runs (the stack is walked from the collector's callback).  The
+        collection the paused allocations trigger right after a build is
+        outside it."""
+        request_lists = {Hdf5Layout.write_requests.__code__,
+                         Hdf5Layout.read_requests.__code__}
+        started = []
+
+        def note(phase, _info):
+            if phase != "start":
+                return
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in request_lists:
+                    started.append(frame.f_code.co_name)
+                frame = frame.f_back
+
+        gc.callbacks.append(note)
+        yield started
+        gc.callbacks.remove(note)
+
+    def test_no_collection_inside_a_request_list_build(self, inside):
+        """Each build starts with the young generation empty: the
+        allocations of a paused build trigger one collection as soon as
+        the collector is back, at whatever allocates next, and that
+        collection is owed by the build before."""
+        layout = Hdf5Layout([DatasetSpec("x", 4 * KiB, self.RANKS)])
+        gc.collect()
+        writes = layout.write_requests("x", payload_seed_base=7)
+        gc.collect()
+        reads = layout.read_requests("x")
+        assert inside == []
+        assert gc.isenabled()
+        assert len(writes) == len(reads) == self.RANKS
+        assert [r.rank for r in reads] == list(range(self.RANKS))
+
+    def test_collector_back_after_a_refused_read_list(self):
+        layout = Hdf5Layout([DatasetSpec("x", 4 * KiB, 4)])
+        with pytest.raises(ValueError, match="rank 9"):
+            layout.read_requests("x", ranks=[0, 9])
         assert gc.isenabled()

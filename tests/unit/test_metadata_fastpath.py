@@ -564,21 +564,45 @@ class TestCutOnce:
 
         assert build(self._ship) == build(self._per_record)
 
+    @staticmethod
+    def _builds_per_cut(ship, records, range_size):
+        """Run ``ship`` with the module's derived-record constructor
+        spied on; for every piece :func:`split_record` cuts from
+        ``records`` (records inside one range are kept, not built),
+        return how many equal records the ship built."""
+        built = []
+        derived = metadata_module._derived
+
+        def spy(*fields):
+            record = derived(*fields)
+            built.append(record)
+            return record
+
+        with mock.patch.object(metadata_module, "_derived", spy):
+            ship()
+        cuts = [piece for record in records
+                for piece in split_record(record, range_size)
+                if piece is not record]
+        assert cuts
+        return [sum(b == piece for b in built) for piece in cuts]
+
     def test_each_shipped_record_is_cut_once(self):
+        """Every piece of a record cut at range boundaries is built once,
+        for the stores and the mirror together (a sub-range cut of a
+        split range builds other, narrower pieces)."""
         md, cache = self._service(4, 16, True, replication=2, splits=[1])
         pending = [self._record(0, 40, 0, 1), self._record(40, 9, 1, 1),
                    self._record(49, 30, 1, 1), self._record(100, 20, 0, 2)]
         records, _merges = coalesce_records(pending)
         assert len(records) == 3
-        with mock.patch.object(metadata_module, "split_record",
-                               wraps=split_record) as cut:
-            self._ship(md, cache, pending)
-        assert cut.call_count == len(records)
+        builds = self._builds_per_cut(
+            lambda: self._ship(md, cache, pending), records, 16)
+        assert builds == [1] * len(builds)
 
     def test_collective_cuts_each_record_once(self):
-        """A whole collective through the driver: ``split_record`` runs
-        once per record ``insert_many`` receives, not once for the
-        stores and again for the cache."""
+        """A whole collective through ``UniviStorDriver``: each
+        range-local piece of each record ``insert_many`` receives is
+        built once, not once for the stores and again for the cache."""
         from repro import (IORequest, MachineSpec, PatternPayload,
                            Simulation, UniviStorConfig)
         sim = Simulation(MachineSpec.small_test(nodes=2))
@@ -586,11 +610,13 @@ class TestCutOnce:
             metadata_range_size=int(16 * KB)))
         comm = sim.comm("app", 4, procs_per_node=2)
         assert sim.univistor.metadata.location_cache is not None
+        batches = []
         shipped = []
         insert_many = MetadataService.insert_many
 
         def spy(md, records):
-            shipped.append(len(records))
+            batches.append(len(records))
+            shipped.extend(records)
             return insert_many(md, records)
 
         def app():
@@ -599,12 +625,14 @@ class TestCutOnce:
                 IORequest(r, r * 40 * KB, 40 * KB, PatternPayload(r))
                 for r in range(4)])
 
-        with mock.patch.object(metadata_module, "split_record",
-                               wraps=split_record) as cut, \
-                mock.patch.object(MetadataService, "insert_many", spy):
-            sim.run_to_completion(app())
-        assert shipped == [4]
-        assert cut.call_count == 4
+        def run():
+            with mock.patch.object(MetadataService, "insert_many", spy):
+                sim.run_to_completion(app())
+
+        # ``shipped`` fills during the run; the cuts are taken after it.
+        builds = self._builds_per_cut(run, shipped, int(16 * KB))
+        assert batches == [4]
+        assert builds == [1] * len(builds)
 
 
 def _records_of_by_set_dedup(md, fid):
@@ -714,9 +742,18 @@ def _per_piece_insert(md, server, range_index, pieces):
         apply_insert(md._stores[server], [piece], md.range_size)
 
 
+def _per_piece_admits(md, server, range_index, pieces):
+    """``MetadataService._admits`` that applies the pieces at once, one
+    at a time (:func:`_per_piece_insert`), and leaves nothing for
+    ``insert_many``'s one call per acker after its pass."""
+    _per_piece_insert(md, server, range_index, pieces)
+    return False
+
+
 class TestOneApplyPerRange:
-    """A store applies one range's pieces in one :func:`apply_insert`
-    call, and ends where per-piece application ends (docs/MODEL.md §9)."""
+    """One :func:`apply_insert` call takes a range's pieces (and
+    ``insert_many`` gives each acker a batch's pieces in one call), and
+    the store ends where per-piece application ends (docs/MODEL.md §9)."""
 
     RANGE = 16
     # (offset, length, proc, fid): unsorted, overlapping, two fids, and
@@ -777,7 +814,10 @@ class TestOneApplyPerRange:
         fences; with ``to_fenced`` every live member is routed a write,
         fenced copies included, so the store-side fence refuses pieces.
         Stores, journals, ``fence_rejections`` and the
-        ``on_fence_reject`` call sequence match per-piece application."""
+        ``on_fence_reject`` call sequence match per-piece application at
+        the point each acker takes a range's pieces, although
+        ``insert_many`` applies them in one call per acker after its
+        pass."""
         def build():
             md = MetadataService(n_servers, self.RANGE,
                                  replication=replication,
@@ -827,7 +867,9 @@ class TestOneApplyPerRange:
         try:
             got = build()
             with mock.patch.object(MetadataService, "_insert_pieces",
-                                   _per_piece_insert):
+                                   _per_piece_insert), \
+                    mock.patch.object(MetadataService, "_admits",
+                                      _per_piece_admits):
                 want = build()
         finally:
             for patch in patches:
